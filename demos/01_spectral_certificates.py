@@ -4,7 +4,7 @@
 The largest eigenvalue of Q = D + A drives the k-connectivity certificate,
 so we never settle for "the solver said 199.9999": every estimate carries
 rigorous lower and upper Collatz-Wielandt bounds, and the independent
-Jacobi oracle is around to keep the iteration honest.
+dense eigvalsh oracle is around to keep the iteration honest.
 """
 
 from qconn import (
@@ -28,7 +28,7 @@ for n in (5, 12):
     est = q_index(cycle(n), 1e-10)
     print(f"C_{n}:  q in [{est.lower:.12f}, {est.upper:.12f}]  (exact: 4)")
 
-print("\n== iterative bracket vs dense Jacobi oracle ==")
+print("\n== iterative bracket vs dense eigvalsh oracle ==")
 star = join(complete(1), empty(7))
 est = q_index(star, 1e-10)
 print(f"star on 8 vertices: bracket [{est.lower:.12f}, {est.upper:.12f}], "

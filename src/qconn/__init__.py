@@ -3,7 +3,7 @@
 Library layout:
 
 - ``graphs``: bit-row graphs, graph6 codec, constructors, enumeration
-- ``spectral``: certified Q-index / adjacency radius, Jacobi dense oracle
+- ``spectral``: certified Q-index / adjacency radius, eigvalsh dense oracle
 - ``connectivity``: exact kappa (max-flow and brute force), degree and
   density sufficient conditions
 - ``extremal``: the exceptional families A(n,k,delta) - E' and membership
@@ -37,7 +37,6 @@ from .spectral import (
     adjacency_spectral_radius,
     decide_q_ge,
     decide_q_gt,
-    jacobi_largest_eigenvalue,
     q_apply,
     q_index,
     q_index_dense_oracle,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from . import certifier
 from .connectivity import brute_force_connectivity, vertex_connectivity
@@ -34,16 +34,16 @@ def _read_lines(source: str) -> List[bytes]:
         return fh.read().splitlines()
 
 
-def _read_graphs(source: str) -> List[Graph]:
-    graphs = []
+def _read_graphs(source: str) -> Iterator[Graph]:
+    """Parse line by line, so only one dense matrix is alive at a time."""
     for lineno, line in enumerate(_read_lines(source), start=1):
         if not line.strip():
             continue
         try:
-            graphs.append(parse_graph6(line))
+            g = parse_graph6(line)
         except Graph6Error as exc:
             raise CorpusError(str(exc), lineno) from exc
-    return graphs
+        yield g
 
 
 def _emit(payload, as_json: bool, text: str) -> None:
@@ -156,9 +156,8 @@ def _member_for_verify(args, params: ExtremalParams):
 def _cmd_verify(args) -> int:
     lemma = args.lemma
     if lemma in ("2.2", "2.3"):
-        graphs = _read_graphs(args.input if args.input else "-")
         ok = True
-        for g in graphs:
+        for g in _read_graphs(args.input if args.input else "-"):
             if lemma == "2.2":
                 est = q_index(g, args.tol)
                 bound = q_upper_bound_edges(g)
@@ -253,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute-q", help="certified Q-index bracket")
     add_common(p)
-    p.add_argument("--oracle", action="store_true", help="also run the dense Jacobi oracle")
+    p.add_argument("--oracle", action="store_true", help="also run the dense eigvalsh oracle")
     p.set_defaults(fn=_cmd_compute_q)
 
     p = sub.add_parser("kappa", help="vertex connectivity with witness cut")

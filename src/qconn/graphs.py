@@ -4,8 +4,11 @@ Vertices are always 0-based integers.  A graph is immutable after
 construction; row ``i`` is a Python int whose bit ``j`` is set iff vertex
 ``j`` is a neighbour of ``i``.  Neighbour intersections, degrees and BFS
 all reduce to integer bit operations, which is plenty fast for the desk
-scale (n up to a few hundred) this library targets.  The graph6 codec
-supports the long header form, so orders up to 258047 round-trip.
+scale (n up to a few hundred) this library targets.  A graph crosses to a
+dense numpy matrix through one pair of converters (bit rows to bytes to
+``np.unpackbits`` and back through ``np.packbits``).  The graph6 codec
+supports the long header form; since a parsed graph carries its dense
+n x n matrix, orders above ``MAX_ORDER`` (16 MB of matrix) are refused.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-GRAPH6_MAX_N = 258047  # largest order encodable with the '~' + 3 byte header
+MAX_ORDER = 4096  # largest order the codec accepts: a 16 MB dense matrix
 
 
 class Graph6Error(ValueError):
@@ -117,21 +120,19 @@ class Graph:
     # -- numpy views (cached; used by the spectral module) -------------
 
     def adjacency_bool(self) -> np.ndarray:
-        """Dense boolean adjacency matrix (cached)."""
+        """Dense boolean adjacency matrix (cached, read-only)."""
         if self._np_adj is None:
-            a = np.zeros((self.n, self.n), dtype=bool)
-            for i in range(self.n):
-                rest = self.rows[i]
-                while rest:
-                    b = rest & -rest
-                    a[i, b.bit_length() - 1] = True
-                    rest ^= b
+            a = _bool_from_rows(self.rows)
+            a.setflags(write=False)
             self._np_adj = a
         return self._np_adj
 
     def degree_array(self) -> np.ndarray:
+        """Degrees as float64 (cached, read-only)."""
         if self._np_deg is None:
-            self._np_deg = np.array(self.degrees(), dtype=np.float64)
+            d = np.array(self.degrees(), dtype=np.float64)
+            d.setflags(write=False)
+            self._np_deg = d
         return self._np_deg
 
     # -- derived graphs ------------------------------------------------
@@ -182,6 +183,33 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+# -- bit rows <-> dense boolean matrix ----------------------------------
+
+
+def _bool_from_rows(rows: Sequence[int]) -> np.ndarray:
+    """Bit rows to an n x n boolean matrix: bit j of row i is entry [i, j]."""
+    n = len(rows)
+    width = (n + 7) // 8
+    buf = b"".join(r.to_bytes(width, "little") for r in rows)
+    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
+    return bits.reshape(n, 8 * width)[:, :n].astype(bool)
+
+
+def _graph_from_bool(a: np.ndarray) -> Graph:
+    """Graph from a symmetric, loop-free boolean matrix, which it keeps
+    (read-only) as its cached ``adjacency_bool()``."""
+    packed = np.packbits(a, axis=1, bitorder="little")
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    g = Graph.from_rows(
+        [int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(a.shape[0])],
+        validate=False,
+    )
+    a.setflags(write=False)
+    g._np_adj = a
+    return g
 
 
 @dataclass(frozen=True)
@@ -308,9 +336,11 @@ def parse_graph6(data) -> Graph:
     if not data:
         raise Graph6Error("empty graph6 string", 0)
 
-    for off, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"byte {byte} outside graph6 range [63,126]", off)
+    raw = np.frombuffer(data, dtype=np.uint8)
+    bad = np.flatnonzero((raw < 63) | (raw > 126))
+    if bad.size:
+        off = int(bad[0])
+        raise Graph6Error(f"byte {data[off]} outside graph6 range [63,126]", off)
 
     if data[0] == 126:  # '~' long form
         if len(data) >= 2 and data[1] == 126:
@@ -322,6 +352,8 @@ def parse_graph6(data) -> Graph:
     else:
         n = data[0] - 63
         pos = 1
+    if n > MAX_ORDER:
+        raise Graph6Error(f"order n={n} exceeds the codec limit {MAX_ORDER}", pos)
 
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
@@ -333,49 +365,36 @@ def parse_graph6(data) -> Graph:
     if len(data) - pos > nbytes:
         raise Graph6Error(f"trailing bytes after payload for n={n}", pos + nbytes)
 
-    rows = [0] * n
-    bit = 0
-    # column-major upper triangle: (i, j) with j = 1..n-1, i = 0..j-1
-    pairs = ((i, j) for j in range(1, n) for i in range(j))
-    for i, j in pairs:
-        byte = data[pos + bit // 6] - 63
-        if byte >> (5 - bit % 6) & 1:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-        bit += 1
-    # padding bits must be zero
-    if nbits % 6:
-        last = data[pos + nbytes - 1] - 63
-        if last & ((1 << (6 - nbits % 6)) - 1):
-            raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
-    return Graph.from_rows(rows, validate=False)
+    # each byte carries 6 bits, most significant first
+    bits = np.unpackbits((raw[pos:] - 63)[:, None], axis=1)[:, 2:].ravel()
+    if bits[nbits:].any():
+        raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
+    a = np.zeros((n, n), dtype=bool)
+    a[_lower_triangle(n)] = bits[:nbits]
+    a |= a.T
+    return _graph_from_bool(a)
 
 
 def write_graph6(g: Graph) -> str:
     """Canonical graph6 encoding of ``g`` (no trailing newline)."""
     n = g.n
-    if n > GRAPH6_MAX_N:
-        raise ValueError(f"n={n} exceeds graph6 limit {GRAPH6_MAX_N}")
+    if n > MAX_ORDER:
+        raise ValueError(f"n={n} exceeds the codec limit {MAX_ORDER}")
     if n <= 62:
-        head = [n + 63]
+        head = bytes([n + 63])
     else:
-        head = [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
+        head = bytes([126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
+    bits = g.adjacency_bool()[_lower_triangle(n)]
+    groups = np.zeros((len(bits) + 5) // 6 * 6, dtype=np.uint8)
+    groups[:len(bits)] = bits
+    payload = (np.packbits(groups.reshape(-1, 6), axis=1) >> 2) + 63
+    return (head + payload.tobytes()).decode("ascii")
 
-    out = []
-    acc = 0
-    filled = 0
-    for j in range(1, n):
-        row = g.rows[j]
-        for i in range(j):
-            acc = (acc << 1) | (row >> i & 1)
-            filled += 1
-            if filled == 6:
-                out.append(acc + 63)
-                acc = 0
-                filled = 0
-    if filled:
-        out.append((acc << (6 - filled)) + 63)
-    return bytes(head + out).decode("ascii")
+
+def _lower_triangle(n: int) -> np.ndarray:
+    """Mask of the strict lower triangle.  Read in row-major order, entry
+    (j, i) with i < j runs x01, x02, x12, x03, ...: the graph6 bit order."""
+    return np.tri(n, k=-1, dtype=bool)
 
 
 # -- labeled enumeration -------------------------------------------------

@@ -40,6 +40,7 @@ from .graphs import (
     iter_labeled_graphs,
     parse_graph6,
     write_graph6,
+    _graph_from_bool,
     _reach_mask,
 )
 from .spectral import decide_q_gt, q_upper_bound_edges
@@ -137,15 +138,13 @@ def random_graph(
     if not 0.0 <= edge_probability <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    pairs = list(itertools.combinations(range(n), 2))
+    # row-major strict upper triangle: the itertools.combinations pair order
+    upper = ~np.tri(n, dtype=bool)
     for _ in range(max_tries):
-        draw = rng.random(len(pairs)) < edge_probability
-        rows = [0] * n
-        for hit, (i, j) in zip(draw, pairs):
-            if hit:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        g = Graph.from_rows(rows, validate=False)
+        a = np.zeros((n, n), dtype=bool)
+        a[upper] = rng.random(n * (n - 1) // 2) < edge_probability
+        a |= a.T
+        g = _graph_from_bool(a)
         if min(g.degrees(), default=0) >= min_degree_floor and is_connected(g):
             return g
     raise RandomGraphError(
@@ -485,9 +484,8 @@ def _run_family_sweep(config: CampaignConfig, report: Report) -> None:
 def _run_certify_one(config: CampaignConfig, report: Report) -> None:
     if not config.input_path:
         raise CampaignError("certify-one needs an input corpus path")
-    graphs: List[Graph] = []
-    stream_corpus(config.input_path, graphs.append)
-    for g in graphs:
+
+    def certify_one(g: Graph) -> None:
         verdict = certifier.certify(g, config.k, tolerance=config.tolerance)
         report.tested += 1
         report.items.append({"graph6": write_graph6(g), **verdict.to_dict()})
@@ -498,6 +496,8 @@ def _run_certify_one(config: CampaignConfig, report: Report) -> None:
             report.undecided += 1
         else:
             report.passed += 1
+
+    stream_corpus(config.input_path, certify_one)
 
 
 _RUNNERS = {

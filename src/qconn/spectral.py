@@ -10,9 +10,9 @@ bracket q(G) rigorously.  Power iteration tightens the bracket; the
 estimate keeps the running best bounds, and threshold tests compare
 against them so a near-tie is never decided by floating-point noise.
 
-The dense oracle is an independent cyclic Jacobi rotation scheme on the
-explicit D + A matrix; it shares no code with the iterative path and is
-used only to validate it.
+The dense oracle is LAPACK's symmetric eigensolver (``np.linalg.eigvalsh``)
+on the explicit D + A matrix; it shares no code with the iterative path
+and is used only to validate it.
 """
 
 from __future__ import annotations
@@ -157,23 +157,34 @@ def _iterate_small(rows, degs, idx, tol, max_iter, diag_degree, shift, stop):
 
 
 def _iterate_np(adj, d, tol, max_iter, diag_degree, shift, stop):
-    """Same iteration, numpy path, on a dense boolean component adjacency."""
+    """Same iteration, numpy path, on a dense boolean component adjacency.
+
+    The float64 adjacency is built once per call; each step then runs in
+    preallocated buffers.  The diagonal stays a separate term added after
+    the matmul: folding it into the matrix would reorder each row sum and
+    move the brackets, and so the reported bytes, by an ulp.
+    """
+    a = adj.astype(np.float64)
+    diag = (d + shift) if diag_degree else np.full_like(d, shift)
     v = d + 1.0
     v /= np.linalg.norm(v)
-    dd = (d + shift) if diag_degree else np.full_like(d, shift)
+    w = np.empty_like(v)
+    quot = np.empty_like(v)
     best_lo, best_up = 0.0, math.inf
     it = 0
     while it < max_iter:
         it += 1
-        w = dd * v + adj @ v
-        quot = w / v
+        np.matmul(a, v, out=w)
+        np.multiply(diag, v, out=quot)
+        w += quot
+        np.divide(w, v, out=quot)
         lo = float(quot.min())
         up = float(quot.max())
         if lo > best_lo:
             best_lo = lo
         if up < best_up:
             best_up = up
-        v = w / np.linalg.norm(w)
+        np.divide(w, np.linalg.norm(w), out=v)
         if best_up - best_lo <= tol:
             return min(best_lo, best_up) - shift, best_up - shift, v, it, True
         if stop is not None and stop(best_lo - shift, best_up - shift):
@@ -192,11 +203,10 @@ def _component_estimate(g, comp, tol, max_iter, diag_degree, shift, stop=None):
             g.rows, degs, comp, tol, max_iter, diag_degree, shift, stop
         )
         return lo, up, vec, it, conv
-    sub = g.subgraph(comp)
-    adj = sub.adjacency_bool()
-    d = sub.degree_array()
-    lo, up, vec, it, conv = _iterate_np(adj, d, tol, max_iter, diag_degree, shift, stop)
-    return lo, up, list(map(float, vec)), it, conv
+    sub = g if len(comp) == g.n else g.subgraph(comp)
+    return _iterate_np(
+        sub.adjacency_bool(), sub.degree_array(), tol, max_iter, diag_degree, shift, stop
+    )
 
 
 def _spectral_radius(g, tol, max_iter, diag_degree, shift, stop=None) -> SpectralEstimate:
@@ -215,9 +225,11 @@ def _spectral_radius(g, tol, max_iter, diag_degree, shift, stop=None) -> Spectra
     lower = max(r[0] for r in results)
     upper = max(r[1] for r in results)
     best = max(results, key=lambda r: r[0])
-    vector = np.zeros(g.n)
-    for x, v in zip(best[2], best[4]):
-        vector[v] = x
+    if len(best[4]) == g.n:  # connected: the component is 0..n-1 in order
+        vector = np.asarray(best[2], dtype=np.float64)
+    else:
+        vector = np.zeros(g.n)
+        vector[best[4]] = best[2]
     converged = all(r[3] for r in results) and upper - lower <= tol
     return SpectralEstimate(
         lower=lower,
@@ -303,60 +315,9 @@ def decide_q_gt(
     return None, est
 
 
-# -- dense Jacobi oracle ----------------------------------------------------
+# -- dense reference oracle -------------------------------------------------
 
 ORACLE_MAX_N = 400
-_JACOBI_OFF_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
-
-
-def jacobi_largest_eigenvalue(
-    matrix: np.ndarray,
-    off_tol: float = _JACOBI_OFF_TOL,
-    max_sweeps: int = _JACOBI_MAX_SWEEPS,
-) -> float:
-    """Largest eigenvalue of a symmetric matrix by cyclic Jacobi rotations.
-
-    Runs full (p,q) sweeps, annihilating each off-diagonal entry with a
-    two-sided rotation, until the off-diagonal Frobenius norm drops below
-    ``off_tol``.  Independent of the power-iteration path by construction.
-    """
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    if n == 0:
-        return 0.0
-    if a.shape != (n, n):
-        raise ValueError("matrix must be square")
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, float((a * a).sum() - (np.diag(a) ** 2).sum())))
-        if off < off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-150 * max(1.0, abs(diff)):
-                    # rotation angle below representable resolution
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                theta = diff / (2.0 * apq)
-                if abs(theta) > 1e100:
-                    t = 1.0 / (2.0 * theta)
-                else:
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    return float(np.diag(a).max())
 
 
 def q_index_dense_oracle(g: Graph) -> float:
@@ -367,7 +328,7 @@ def q_index_dense_oracle(g: Graph) -> float:
         return 0.0
     mat = g.adjacency_bool().astype(np.float64)
     mat[np.diag_indices(g.n)] = g.degree_array()
-    return jacobi_largest_eigenvalue(mat)
+    return float(np.linalg.eigvalsh(mat)[-1])
 
 
 def adjacency_dense_oracle(g: Graph) -> float:
@@ -376,7 +337,7 @@ def adjacency_dense_oracle(g: Graph) -> float:
         raise ValueError(f"dense oracle capped at n={ORACLE_MAX_N}")
     if g.n == 0:
         return 0.0
-    return jacobi_largest_eigenvalue(g.adjacency_bool().astype(np.float64))
+    return float(np.linalg.eigvalsh(g.adjacency_bool().astype(np.float64))[-1])
 
 
 # -- eigen-identities and the edge bound ------------------------------------

@@ -21,7 +21,7 @@ from qconn import (
     path,
     write_graph6,
 )
-from qconn.graphs import count_labeled_graphs
+from qconn.graphs import MAX_ORDER, count_labeled_graphs
 
 from conftest import random_graph_mask
 
@@ -115,6 +115,15 @@ def test_subgraph_and_complement():
     assert complete(6).complement() == empty(6)
 
 
+def test_numpy_views_are_read_only():
+    for g in (cycle(5), parse_graph6(write_graph6(cycle(70)))):
+        with pytest.raises(ValueError):
+            g.adjacency_bool()[0, 2] = True
+        with pytest.raises(ValueError):
+            g.degree_array()[0] = 9.0
+        assert g.adjacency_bool().sum() == 2 * g.m
+
+
 def test_edge_edit_helpers():
     g = complete(4)
     h = g.with_edges_removed([(0, 1)])
@@ -184,6 +193,22 @@ def test_graph6_errors():
         parse_graph6("A" + chr(63 + 0b100001))  # n=2, nonzero padding bits
     with pytest.raises(ValueError):
         write_graph6(empty(258048))
+
+
+def test_graph6_order_limit():
+    def long_header(n):
+        return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+
+    assert long_header(258047) == "~}~~"  # the largest 4-byte header
+    # above the limit the header alone is refused: no payload is read
+    for n in (MAX_ORDER + 1, 258047):
+        with pytest.raises(Graph6Error, match="exceeds") as err:
+            parse_graph6(long_header(n))
+        assert err.value.offset == 4
+    with pytest.raises(ValueError):
+        write_graph6(empty(MAX_ORDER + 1))
+    g = path(MAX_ORDER)
+    assert parse_graph6(write_graph6(g)) == g
 
 
 def test_graph6_padding_is_zero():

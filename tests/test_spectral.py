@@ -14,7 +14,6 @@ from qconn import (
     decide_q_gt,
     disjoint_union,
     empty,
-    jacobi_largest_eigenvalue,
     join,
     path,
     q_apply,
@@ -128,7 +127,7 @@ def test_trivial_graphs():
     assert q_index(complete(2)).value == pytest.approx(2.0)
 
 
-# -- dense Jacobi oracle -------------------------------------------------------
+# -- dense eigvalsh oracle ----------------------------------------------------
 
 
 def test_oracle_examples():
@@ -141,13 +140,15 @@ def test_oracle_examples():
         q_index_dense_oracle(empty(401))
 
 
-def test_jacobi_against_scipy(rng):
+def test_dense_oracle_against_scipy(rng):
     eigvalsh = pytest.importorskip("scipy.linalg").eigvalsh
     for _ in range(50):
         n = int(rng.integers(1, 30))
-        mat = rng.normal(size=(n, n))
-        mat = mat + mat.T
-        assert jacobi_largest_eigenvalue(mat) == pytest.approx(float(eigvalsh(mat)[-1]), abs=1e-9)
+        g = random_graph_mask(n, rng, p=float(rng.random()))
+        adj = np.array([[float(g.has_edge(i, j)) for j in range(n)] for i in range(n)])
+        q = adj + np.diag([float(g.degree(i)) for i in range(n)])
+        assert q_index_dense_oracle(g) == pytest.approx(float(eigvalsh(q)[-1]), abs=1e-9)
+        assert adjacency_dense_oracle(g) == pytest.approx(float(eigvalsh(adj)[-1]), abs=1e-9)
 
 
 def test_oracle_agreement_random(rng):
