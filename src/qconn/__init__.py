@@ -2,19 +2,20 @@
 
 Library layout:
 
-- ``graphs``: bit-row graphs, graph6 codec, constructors, enumeration
+- ``graphs``: bit-row graphs, graph6 codec, constructors, labeled enumeration
+  (n <= 7)
 - ``spectral``: certified Q-index / adjacency radius, eigvalsh dense oracle
 - ``connectivity``: exact kappa (max-flow and brute force), degree and
   density sufficient conditions
 - ``extremal``: the exceptional families A(n,k,delta) - E' and membership
   classification
 - ``certifier``: the theorem verdict pipeline and per-lemma checkers
-- ``harness``: deterministic verification campaigns and JSON reports
+- ``harness``: deterministic verification campaigns, the one graph6 corpus
+  reader, and JSON reports
 """
 
 from .graphs import (
     DegreeProfile,
-    EnumerationSummary,
     Graph,
     Graph6Error,
     complete,
@@ -23,7 +24,6 @@ from .graphs import (
     degree_profile,
     disjoint_union,
     empty,
-    enumerate_labeled_graphs,
     is_connected,
     iter_labeled_graphs,
     join,

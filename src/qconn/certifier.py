@@ -46,7 +46,6 @@ from .spectral import (
     decide_q_ge,
     q_index,
     rayleigh_q_exact,
-    verify_eigen_identity,
 )
 
 K_CONNECTED_CERTIFIED = "K_CONNECTED_CERTIFIED"
@@ -120,7 +119,6 @@ def certify(
     """Run the full spectral k-connectivity certification pipeline."""
     profile = degree_profile(g)
     n = g.n
-    notes = []
     hyp = {
         "connected": profile.is_connected,
         "k_ge_3": k >= 3,
@@ -141,47 +139,26 @@ def certify(
 
     threshold = 2 * (n - delta_eff + k - 3) if delta_eff is not None else None
 
+    def verdict(outcome, est, notes=(), **evidence) -> Verdict:
+        return Verdict(outcome=outcome, hypothesis=hyp, threshold=threshold,
+                       delta_effective=delta_eff, spectral=est, notes=notes, **evidence)
+
     if not all(hyp.values()) or delta_eff is None:
-        est = q_index(g, tolerance) if n else None
-        return Verdict(
-            outcome=HYPOTHESIS_FAILED,
-            hypothesis=hyp,
-            threshold=threshold,
-            delta_effective=delta_eff,
-            spectral=est,
-            notes=("hypotheses not met; spectral data emitted for exploration",),
-        )
+        return verdict(HYPOTHESIS_FAILED, q_index(g, tolerance) if n else None,
+                       ("hypotheses not met; spectral data emitted for exploration",))
 
     decision, est = decide_q_ge(g, float(threshold), tolerance)
+    notes = ()
     if decision is None:
         # bracket straddles the threshold: fall back to the exact witness
         member = classify_membership(g, k, delta_eff)
-        if member is not None:
-            z = [0] * n
-            for v in member.partition.Y + member.partition.Z:
-                z[v] = 1
-            exact = rayleigh_q_exact(member.graph, z)
-            if exact >= threshold:
-                decision = True
-                notes.append("spectral condition settled by exact rational witness")
-        if decision is None:
-            return Verdict(
-                outcome=UNDECIDED_NUMERIC,
-                hypothesis=hyp,
-                threshold=threshold,
-                delta_effective=delta_eff,
-                spectral=est,
-                membership=member,
-                notes=("certified bracket straddles the threshold after escalation",),
-            )
-    if decision is False:
-        return Verdict(
-            outcome=CONDITION_NOT_MET,
-            hypothesis=hyp,
-            threshold=threshold,
-            delta_effective=delta_eff,
-            spectral=est,
-        )
+        if member is None or rayleigh_q_exact(member.graph, _member_z_vector(member)) < threshold:
+            return verdict(UNDECIDED_NUMERIC, est,
+                           ("certified bracket straddles the threshold after escalation",),
+                           membership=member)
+        notes = ("spectral condition settled by exact rational witness",)
+    elif not decision:
+        return verdict(CONDITION_NOT_MET, est)
 
     ok, cut = is_k_connected(g, k)
     if ok:
@@ -189,43 +166,18 @@ def certify(
             conn = vertex_connectivity(g)  # complete graph short-circuit
         else:
             conn = ConnectivityResult(kappa=k, cut=(), method="maxflow-threshold")
-        return Verdict(
-            outcome=K_CONNECTED_CERTIFIED,
-            hypothesis=hyp,
-            threshold=threshold,
-            delta_effective=delta_eff,
-            spectral=est,
-            connectivity=conn,
-            notes=tuple(notes),
-        )
+        return verdict(K_CONNECTED_CERTIFIED, est, notes, connectivity=conn)
 
     witness = ConnectivityResult(kappa=len(cut), cut=cut, method="maxflow-threshold")
     member = classify_membership(g, k, delta_eff)
     if member is not None and member.family_class == FAMILY_A1:
-        return Verdict(
-            outcome=EXCEPTIONAL_FAMILY,
-            hypothesis=hyp,
-            threshold=threshold,
-            delta_effective=delta_eff,
-            spectral=est,
-            connectivity=witness,
-            membership=member,
-            notes=tuple(notes),
-        )
+        return verdict(EXCEPTIONAL_FAMILY, est, notes, connectivity=witness, membership=member)
     # spectral condition certified, not k-connected, no A1 membership:
     # this contradicts the theorem and is the headline falsification signal
-    return Verdict(
-        outcome=THEOREM_VIOLATION,
-        hypothesis=hyp,
-        threshold=threshold,
-        delta_effective=delta_eff,
-        spectral=est,
-        connectivity=witness,
-        membership=member,
-        theorem_violation=True,
-        notes=("THEOREM VIOLATION: certified spectral condition without "
-               "k-connectivity or exceptional membership",),
-    )
+    return verdict(THEOREM_VIOLATION, est,
+                   ("THEOREM VIOLATION: certified spectral condition without "
+                    "k-connectivity or exceptional membership",),
+                   connectivity=witness, membership=member, theorem_violation=True)
 
 
 # -- lemma reports -------------------------------------------------------------
@@ -640,8 +592,3 @@ def verify_theorem_proof_chain(params: ExtremalParams) -> ProofChainReport:
         order_ge_F=order_ok,
     )
 
-
-def eigen_identity_report(member: FamilyMember, tolerance: float = 1e-8):
-    """Convenience: Perron identity residuals for a member's graph."""
-    est = q_index(member.graph, tolerance)
-    return verify_eigen_identity(member.graph, est)

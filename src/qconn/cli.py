@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterator, List, Optional
+from contextlib import nullcontext
+from typing import List, Optional
 
 from . import certifier
 from .connectivity import brute_force_connectivity, vertex_connectivity
@@ -22,28 +23,9 @@ from .extremal import (
     enumerate_Eprime_orbits,
     make_member,
 )
-from .graphs import Graph, Graph6Error, parse_graph6, write_graph6
-from .harness import CampaignConfig, CampaignError, CorpusError, run_campaign
+from .graphs import Graph, Graph6Error, write_graph6
+from .harness import CampaignConfig, CampaignError, CorpusError, read_corpus, run_campaign
 from .spectral import q_index, q_index_dense_oracle, q_upper_bound_edges, ORACLE_MAX_N
-
-
-def _read_lines(source: str) -> List[bytes]:
-    if source == "-":
-        return [ln.encode() for ln in sys.stdin.read().splitlines()]
-    with open(source, "rb") as fh:
-        return fh.read().splitlines()
-
-
-def _read_graphs(source: str) -> Iterator[Graph]:
-    """Parse line by line, so only one dense matrix is alive at a time."""
-    for lineno, line in enumerate(_read_lines(source), start=1):
-        if not line.strip():
-            continue
-        try:
-            g = parse_graph6(line)
-        except Graph6Error as exc:
-            raise CorpusError(str(exc), lineno) from exc
-        yield g
 
 
 def _emit(payload, as_json: bool, text: str) -> None:
@@ -64,7 +46,8 @@ def _parse_edge_spec(spec: str):
 
 
 def _cmd_encode(args) -> int:
-    lines = [ln.decode() for ln in _read_lines(args.input) if ln.strip()]
+    with nullcontext(sys.stdin) if args.input == "-" else open(args.input) as fh:
+        lines = [ln for ln in fh if ln.strip()]
     n = int(lines[0])
     edges = []
     for ln in lines[1:]:
@@ -75,7 +58,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    for g in _read_graphs(args.input):
+    for g in read_corpus(args.input):
         payload = {"n": g.n, "m": g.m, "edges": [list(e) for e in g.edges()]}
         text = f"n={g.n} m={g.m} edges=" + ",".join(f"{u}-{v}" for u, v in g.edges())
         _emit(payload, args.json, text)
@@ -83,7 +66,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_compute_q(args) -> int:
-    for g in _read_graphs(args.input):
+    for g in read_corpus(args.input):
         est = q_index(g, args.tol)
         payload = est.to_dict()
         payload["n"] = g.n
@@ -100,7 +83,7 @@ def _cmd_compute_q(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
-    for g in _read_graphs(args.input):
+    for g in read_corpus(args.input):
         res = brute_force_connectivity(g) if args.brute else vertex_connectivity(g)
         text = f"kappa={res.kappa} cut={list(res.cut)} method={res.method}"
         _emit(res.to_dict(), args.json, text)
@@ -109,7 +92,7 @@ def _cmd_kappa(args) -> int:
 
 def _cmd_certify(args) -> int:
     worst = 0
-    for g in _read_graphs(args.input):
+    for g in read_corpus(args.input):
         verdict = certifier.certify(g, args.k, delta=args.delta, tolerance=args.tol)
         payload = verdict.to_dict()
         text = (f"outcome={verdict.outcome} threshold={verdict.threshold} "
@@ -157,7 +140,7 @@ def _cmd_verify(args) -> int:
     lemma = args.lemma
     if lemma in ("2.2", "2.3"):
         ok = True
-        for g in _read_graphs(args.input if args.input else "-"):
+        for g in read_corpus(args.input or "-"):
             if lemma == "2.2":
                 est = q_index(g, args.tol)
                 bound = q_upper_bound_edges(g)

@@ -14,9 +14,9 @@ n x n matrix, orders above ``MAX_ORDER`` (16 MB of matrix) are refused.
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +46,8 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         rows = [0] * n
         for u, v in edges:
+            # numpy integers would make ``1 << v`` wrap at 64 bits
+            u, v = operator.index(u), operator.index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
@@ -140,6 +142,7 @@ class Graph:
     def with_edges_removed(self, edges: Iterable[Tuple[int, int]]) -> "Graph":
         rows = list(self.rows)
         for u, v in edges:
+            u, v = operator.index(u), operator.index(v)
             if not self.has_edge(u, v):
                 raise ValueError(f"edge ({u},{v}) not present")
             rows[u] &= ~(1 << v)
@@ -147,6 +150,7 @@ class Graph:
         return Graph.from_rows(rows, validate=False)
 
     def with_edge_added(self, u: int, v: int) -> "Graph":
+        u, v = operator.index(u), operator.index(v)
         if u == v:
             raise ValueError("loop not allowed")
         rows = list(self.rows)
@@ -399,94 +403,32 @@ def _lower_triangle(n: int) -> np.ndarray:
 
 # -- labeled enumeration -------------------------------------------------
 
-_UNRESTRICTED_MAX_N = 7
-_BUDGET_MAX_N = 8
+_ENUMERATION_MAX_N = 7
 
 
-@dataclass(frozen=True)
-class EnumerationSummary:
-    emitted: int
-    accepted: int
+def iter_labeled_graphs(n: int, mask_range: Optional[Tuple[int, int]] = None) -> Iterator[Graph]:
+    """Yield every labeled graph on ``n`` <= 7 vertices exactly once.
 
-
-def _pairs(n: int) -> list[Tuple[int, int]]:
-    return list(itertools.combinations(range(n), 2))
-
-
-def iter_labeled_graphs(
-    n: int,
-    complement_budget: Optional[int] = None,
-    mask_range: Optional[Tuple[int, int]] = None,
-) -> Iterator[Graph]:
-    """Yield every labeled graph on ``n`` vertices exactly once.
-
-    Unrestricted mode (budget None) walks all 2^C(n,2) edge masks and is
-    limited to n <= 7.  With ``complement_budget=b`` (n <= 8) only graphs
-    whose complement has at most ``b`` edges are produced, enumerated as
-    K_n minus complement-edge subsets of increasing size.  ``mask_range``
-    restricts the unrestricted walk to a half-open mask interval so
-    concurrent consumers can own disjoint chunks.
+    Walks all 2^C(n,2) edge masks in increasing order; ``mask_range``
+    restricts the walk to a half-open mask interval so concurrent
+    consumers can own disjoint chunks.
     """
-    pairs = _pairs(n)
-    npairs = len(pairs)
-    if complement_budget is None:
-        if n > _UNRESTRICTED_MAX_N:
-            raise ValueError(
-                f"unrestricted enumeration capped at n={_UNRESTRICTED_MAX_N}; "
-                "use complement_budget for n=8"
-            )
-        lo, hi = mask_range if mask_range else (0, 1 << npairs)
-        for mask in range(lo, hi):
-            rows = [0] * n
-            rest = mask
-            while rest:
-                b = rest & -rest
-                i, j = pairs[b.bit_length() - 1]
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-                rest ^= b
-            yield Graph.from_rows(rows, validate=False)
-    else:
-        if n > _BUDGET_MAX_N:
-            raise ValueError(f"complement-budget enumeration capped at n={_BUDGET_MAX_N}")
-        if mask_range is not None:
-            raise ValueError("mask_range applies to unrestricted mode only")
-        full_rows = [((1 << n) - 1) & ~(1 << i) for i in range(n)]
-        for size in range(complement_budget + 1):
-            for sub in itertools.combinations(range(npairs), size):
-                rows = full_rows[:]
-                for e in sub:
-                    i, j = pairs[e]
-                    rows[i] &= ~(1 << j)
-                    rows[j] &= ~(1 << i)
-                yield Graph.from_rows(rows, validate=False)
+    if n > _ENUMERATION_MAX_N:
+        raise ValueError(f"labeled enumeration capped at n={_ENUMERATION_MAX_N}")
+    pairs = list(itertools.combinations(range(n), 2))
+    lo, hi = mask_range if mask_range else (0, 1 << len(pairs))
+    for mask in range(lo, hi):
+        rows = [0] * n
+        rest = mask
+        while rest:
+            b = rest & -rest
+            i, j = pairs[b.bit_length() - 1]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            rest ^= b
+        yield Graph.from_rows(rows, validate=False)
 
 
-def count_labeled_graphs(n: int, complement_budget: Optional[int] = None) -> int:
-    """Size of the enumeration universe (without any predicate)."""
-    npairs = n * (n - 1) // 2
-    if complement_budget is None:
-        return 1 << npairs
-    return sum(math.comb(npairs, c) for c in range(complement_budget + 1))
-
-
-def enumerate_labeled_graphs(
-    n: int,
-    predicate: Optional[Callable[[Graph], bool]] = None,
-    consumer: Optional[Callable[[Graph], None]] = None,
-    complement_budget: Optional[int] = None,
-) -> EnumerationSummary:
-    """Drive ``consumer`` over every labeled graph passing ``predicate``.
-
-    Returns counts of graphs emitted by the structural pre-filter and of
-    graphs accepted by the predicate.
-    """
-    emitted = 0
-    accepted = 0
-    for g in iter_labeled_graphs(n, complement_budget=complement_budget):
-        emitted += 1
-        if predicate is None or predicate(g):
-            accepted += 1
-            if consumer is not None:
-                consumer(g)
-    return EnumerationSummary(emitted=emitted, accepted=accepted)
+def count_labeled_graphs(n: int) -> int:
+    """Number of labeled graphs on ``n`` vertices: 2^C(n,2)."""
+    return 1 << (n * (n - 1) // 2)

@@ -14,10 +14,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional
 
 import numpy as np
 
@@ -162,17 +164,14 @@ class CorpusError(ValueError):
         self.line = line
 
 
-def stream_corpus(
-    path: str,
-    consumer: Callable[[Graph], None],
-    lenient: bool = False,
-    on_error: Optional[Callable[[int, str], None]] = None,
-) -> int:
-    """Parse a file of newline-separated graph6, delivering each graph in
-    order.  Returns the number delivered; malformed lines abort unless
-    ``lenient``, in which case they are reported and skipped."""
-    delivered = 0
-    with open(path, "rb") as fh:
+def read_corpus(source: str) -> Iterator[Graph]:
+    """Yield the graphs of a newline-separated graph6 corpus in order.
+
+    ``source`` is a path, or ``"-"`` for standard input (left open).  Lines
+    are read and parsed one at a time, blank lines are skipped, and a
+    malformed line raises ``CorpusError`` with its line number.
+    """
+    with nullcontext(sys.stdin.buffer) if source == "-" else open(source, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -180,13 +179,17 @@ def stream_corpus(
             try:
                 g = parse_graph6(line)
             except Graph6Error as exc:
-                if not lenient:
-                    raise CorpusError(str(exc), lineno) from exc
-                if on_error is not None:
-                    on_error(lineno, str(exc))
-                continue
-            consumer(g)
-            delivered += 1
+                raise CorpusError(str(exc), lineno) from exc
+            yield g
+
+
+def stream_corpus(path: str, consumer: Callable[[Graph], None]) -> int:
+    """Deliver each graph of a graph6 corpus to ``consumer`` in order and
+    return how many were delivered; a malformed line raises ``CorpusError``."""
+    delivered = 0
+    for g in read_corpus(path):
+        consumer(g)
+        delivered += 1
     return delivered
 
 
@@ -356,7 +359,8 @@ def _run_lemma23(config: CampaignConfig, report: Report) -> None:
     _merge_partials(report, partials)
     report.details["n"] = n
     report.details["complement_budget"] = budget
-    report.details["universe"] = count_labeled_graphs(n, complement_budget=budget)
+    npairs = n * (n - 1) // 2
+    report.details["universe"] = sum(math.comb(npairs, c) for c in range(budget + 1))
 
 
 def _counterexample_chunk(task: tuple) -> dict:

@@ -9,6 +9,7 @@ from qconn import (
     EXCEPTIONAL_FAMILY,
     HYPOTHESIS_FAILED,
     K_CONNECTED_CERTIFIED,
+    THEOREM_VIOLATION,
     UNDECIDED_NUMERIC,
     ExtremalParams,
     build_A,
@@ -23,6 +24,7 @@ from qconn import (
     complete,
     cycle,
     dirac_condition,
+    empty,
     enumerate_Eprime_orbits,
     is_connected,
     is_k_connected,
@@ -142,6 +144,93 @@ def test_certify_exact_witness_branch(monkeypatch):
     # a non-member graph with a straddling bracket stays undecided
     v = certifier_mod.certify(complete(103), 3)
     assert v.outcome == UNDECIDED_NUMERIC
+
+
+_HYP_OK = {"connected": True, "k_ge_3": True, "min_degree_ge_k": True, "order_ge_F": True}
+_HYP_SMALL = {"connected": True, "k_ge_3": True, "min_degree_ge_k": False, "order_ge_F": False}
+_A2 = [(0, 4), (1, 5)]
+
+
+def _member_dict(family_class, removed):
+    return {"connected": True, "family_class": family_class, "min_degree_ok": True,
+            "params": [103, 3, 3], "removed_edges": [list(e) for e in removed]}
+
+
+def _pinned(outcome, q, hyp=_HYP_OK, threshold=200, delta=3, kappa=None, cut=None,
+            member=None, violation=False, notes=()):
+    return {"outcome": outcome, "hypothesis": hyp, "threshold": threshold,
+            "delta_effective": delta, "q_lower": q[0], "q_upper": q[1], "kappa": kappa,
+            "cut": cut, "member": member, "theorem_violation": violation,
+            "notes": list(notes)}
+
+
+_NOT_MET_Q = (55.0, 199.99999999999994)  # A2 member: stopped once below 200
+_STRADDLE = "certified bracket straddles the threshold after escalation"
+
+# certify(g, 3).to_dict() for every outcome; decide_q_ge is patched to
+# "straddle" (undecided) or "true" (spectral condition forced) where named
+_BRANCH_PINS = {
+    "certified-complete": (
+        lambda: complete(103), None,
+        _pinned(K_CONNECTED_CERTIFIED, (204.00000000000003, 204.0000000000001),
+                kappa=102, cut=[])),
+    "certified-flow": (
+        lambda: complete(103).with_edges_removed([(0, 1), (2, 3), (4, 5)]), None,
+        _pinned(K_CONNECTED_CERTIFIED, (202.95098039215688, 203.94174757281553),
+                kappa=3, cut=[])),
+    "exceptional": (
+        lambda: build_A(PARAMS)[0], None,
+        _pinned(EXCEPTIONAL_FAMILY, (200.03654467997742, 200.0408087176452),
+                kappa=2, cut=[0, 1], member=_member_dict("A1", []))),
+    "exceptional-exact-witness": (
+        lambda: make_member(PARAMS, [(0, 4)]).graph, "straddle",
+        _pinned(EXCEPTIONAL_FAMILY, (200.0003045997747, 200.0012189840604),
+                kappa=2, cut=[0, 1], member=_member_dict("A1", [(0, 4)]),
+                notes=["spectral condition settled by exact rational witness"])),
+    "condition-not-met": (
+        lambda: make_member(PARAMS, _A2).graph, None,
+        _pinned(CONDITION_NOT_MET, _NOT_MET_Q)),
+    "hypothesis-failed": (
+        lambda: cycle(8), None,
+        _pinned(HYPOTHESIS_FAILED, (4.0, 4.0), hyp=_HYP_SMALL, threshold=None, delta=None,
+                notes=["hypotheses not met; spectral data emitted for exploration"])),
+    "hypothesis-failed-empty": (
+        lambda: empty(0), None,
+        _pinned(HYPOTHESIS_FAILED, (None, None), hyp=_HYP_SMALL, threshold=None, delta=None,
+                notes=["hypotheses not met; spectral data emitted for exploration"])),
+    "undecided": (
+        lambda: complete(103), "straddle",
+        _pinned(UNDECIDED_NUMERIC, (204.00000000000003, 204.0000000000001),
+                notes=[_STRADDLE])),
+    "undecided-member": (
+        lambda: make_member(PARAMS, _A2).graph, "straddle",
+        _pinned(UNDECIDED_NUMERIC, _NOT_MET_Q, member=_member_dict("A2", _A2),
+                notes=[_STRADDLE])),
+    "theorem-violation": (
+        lambda: make_member(PARAMS, _A2).graph, "true",
+        _pinned(THEOREM_VIOLATION, _NOT_MET_Q, kappa=2, cut=[0, 1],
+                member=_member_dict("A2", _A2), violation=True,
+                notes=["THEOREM VIOLATION: certified spectral condition without "
+                       "k-connectivity or exceptional membership"])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BRANCH_PINS))
+def test_certify_branch_pins(case, monkeypatch):
+    make_graph, patch, want = _BRANCH_PINS[case]
+    real_decide = certifier_mod.decide_q_ge
+    forced = {"straddle": None, "true": True}
+
+    def patched(g, threshold, tolerance=1e-9, **kw):
+        return forced[patch], real_decide(g, threshold, tolerance)[1]
+
+    if patch is not None:
+        monkeypatch.setattr(certifier_mod, "decide_q_ge", patched)
+    got = certifier_mod.certify(make_graph(), 3).to_dict()
+    # brackets from a BLAS matmul may differ in the last ulp across machines
+    for key in ("q_lower", "q_upper"):
+        assert got.pop(key) == pytest.approx(want[key], rel=1e-12, abs=0)
+    assert got == {k: v for k, v in want.items() if k not in ("q_lower", "q_upper")}
 
 
 # -- lemma 2.3 -------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import io
 import json
+import sys
 
 import pytest
 
@@ -119,3 +121,31 @@ def test_bad_input_exit_code(tmp_path, capsys):
     code, _ = run_cli(capsys, "construct", "--family", "A", "--n", "4",
                       "--k", "3", "--delta", "3")
     assert code == 2  # n <= delta + 1
+
+
+def _patch_stdin(monkeypatch, data: bytes):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
+def test_decode_and_certify_from_stdin(monkeypatch, capsys):
+    _patch_stdin(monkeypatch, b"Bg\n\nBw\n")
+    code, out = run_cli(capsys, "decode", "--json", "-")
+    assert code == 0
+    assert [json.loads(ln)["m"] for ln in out.splitlines()] == [2, 3]
+
+    g, _ = build_A(ExtremalParams(103, 3, 3))
+    _patch_stdin(monkeypatch, (write_graph6(complete(103)) + "\n" + write_graph6(g) + "\n").encode())
+    code, out = run_cli(capsys, "certify", "--k", "3", "--json", "-")
+    assert code == 0
+    assert [json.loads(ln)["outcome"] for ln in out.splitlines()] == [
+        "K_CONNECTED_CERTIFIED", "EXCEPTIONAL_FAMILY"]
+
+
+def test_malformed_second_line(tmp_path, capsys):
+    f = tmp_path / "mixed.g6"
+    f.write_text("Bg\n\x10bad\nBw\n")
+    code = main(["decode", "--json", str(f)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert [json.loads(ln)["m"] for ln in captured.out.splitlines()] == [2]
+    assert "line 2" in captured.err

@@ -61,14 +61,11 @@ def test_stream_corpus(tmp_path):
 def test_stream_corpus_errors(tmp_path):
     f = tmp_path / "bad.g6"
     f.write_text("Bw\n\x1cnope\nBg\n")
-    with pytest.raises(CorpusError) as err:
-        stream_corpus(str(f), lambda g: None)
-    assert err.value.line == 2
-    errors = []
     got = []
-    n = stream_corpus(str(f), got.append, lenient=True,
-                      on_error=lambda line, msg: errors.append(line))
-    assert n == 2 and len(got) == 2 and errors == [2]
+    with pytest.raises(CorpusError) as err:
+        stream_corpus(str(f), got.append)
+    assert err.value.line == 2
+    assert got == [parse_graph6("Bw")]  # the graph before the bad line was delivered
 
 
 # -- campaigns --------------------------------------------------------------------------
@@ -98,6 +95,7 @@ def test_lemma23_campaign_reduced_budget():
     report = run_campaign(config)
     assert report.counters_consistent()
     assert report.details["universe"] == 1 + 28 + math.comb(28, 2)
+    assert report.details["enumerated"] == report.details["universe"]
     assert report.failed == 0 and report.violations == []
     assert report.details["exceptional"] == 0
     assert report.passed == report.tested - report.skipped
