@@ -2,11 +2,15 @@
 
 kappa(G) is computed from Menger's theorem: for non-adjacent s, t the
 maximum number of internally vertex-disjoint s-t paths equals the minimum
-vertex cut separating them, realized as max flow on the vertex-split
-digraph (v -> v_in, v_out with unit internal capacity, edges with
-effectively infinite capacity both ways).  All non-adjacent pairs are
-scanned; threshold queries exit early at the first pair certifying fewer
-than k disjoint paths.
+vertex cut separating them.  Every s-t separator contains the common
+neighbours C = N(s) & N(t), so kappa(s,t) = |C| + kappa_{G-C}(s,t), and the
+s-closest minimum separator of G is C plus that of G - C.  A query is
+therefore settled by bit operations when |C| already reaches the cap or t
+is unreachable from s in G - C; only otherwise does it run max flow on the
+vertex-split digraph of G - C (v -> v_in, v_out with unit internal
+capacity, edges with effectively infinite capacity both ways).  All
+non-adjacent pairs are scanned in lexicographic order; threshold queries
+exit early at the first pair certifying fewer than k disjoint paths.
 
 Conventions follow the usual ones: kappa = n-1 for complete graphs and
 kappa = 0 for trivial or disconnected graphs.
@@ -15,11 +19,12 @@ kappa = 0 for trivial or disconnected graphs.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
-from .graphs import Graph, _reach_mask, degree_profile, is_connected
+from .graphs import Graph, _bits, _reach_mask, degree_profile, is_connected
 
 
 @dataclass(frozen=True)
@@ -106,15 +111,34 @@ def local_connectivity(g: Graph, s: int, t: int, cap: Optional[int] = None) -> T
     """Maximum number of internally disjoint s-t paths and a minimum s-t
     vertex separator, for non-adjacent s, t.  With ``cap`` the search stops
     as soon as ``cap`` paths exist (the separator is then not returned)."""
+    s, t = operator.index(s), operator.index(t)  # numpy ids break bit-row shifts
     if s == t or g.has_edge(s, t):
         raise ValueError("local connectivity needs distinct non-adjacent endpoints")
-    net = _FlowNet(g, s, t)
-    value = 0
+    rows = g.rows
+    common = rows[s] & rows[t]
+    value = common.bit_count()
+    if cap is not None and value >= cap:
+        return cap, ()
+    # the rest of every separator lies in G - C, inside the part of it
+    # that s reaches; the network is built on that part alone
+    reach = _reach_mask(rows, s, ((1 << g.n) - 1) & ~common)
+    if not reach >> t & 1:
+        return value, _bits(common)
+    net = _FlowNet(Graph.from_rows([r & reach if reach >> v & 1 else 0
+                                    for v, r in enumerate(rows)], validate=False), s, t)
     while cap is None or value < cap:
         if not net.augment():
-            return value, net.min_cut_vertices()
+            return value, tuple(sorted(_bits(common) + net.min_cut_vertices()))
         value += 1
     return value, ()
+
+
+def _non_adjacent_pairs(g: Graph) -> Iterator[Tuple[int, int]]:
+    """Non-adjacent pairs s < t in lexicographic order."""
+    full = (1 << g.n) - 1
+    for s in range(g.n):
+        for t in _bits((full & ~g.rows[s]) >> (s + 1) << (s + 1)):
+            yield s, t
 
 
 def _min_degree_cut(g: Graph) -> Tuple[int, Tuple[int, ...]]:
@@ -138,9 +162,7 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     _, best_cut = _min_degree_cut(g)
     best = len(best_cut)
     best_pair = None
-    for s, t in itertools.combinations(range(g.n), 2):
-        if g.has_edge(s, t):
-            continue
+    for s, t in _non_adjacent_pairs(g):
         value, _ = local_connectivity(g, s, t, cap=best)
         if value < best:
             best = value
@@ -164,9 +186,7 @@ def is_k_connected(g: Graph, k: int) -> Tuple[bool, Tuple[int, ...]]:
     _, nbhd = _min_degree_cut(g)
     if len(nbhd) < k:
         return False, nbhd
-    for s, t in itertools.combinations(range(g.n), 2):
-        if g.has_edge(s, t):
-            continue
+    for s, t in _non_adjacent_pairs(g):
         value, cut = local_connectivity(g, s, t, cap=k)
         if value < k:
             return False, cut

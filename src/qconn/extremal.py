@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .graphs import Graph, complete, degree_profile, disjoint_union, empty, join
+from .graphs import Graph, _bits, complete, degree_profile, disjoint_union, empty, join
 
 Edge = Tuple[int, int]
 
@@ -345,11 +345,11 @@ def _strict_classify(g: Graph, k: int, delta: int) -> Optional[FamilyMember]:
             if len(Y) != y_size:
                 continue
             Z = tuple(v for v in range(n) if not (closed >> v & 1))
-            inner = Y + Z
+            inner = ((1 << n) - 1) & ~x_mask  # Y u Z
             missing = [
                 (u, v)
-                for u, v in itertools.combinations(sorted(inner), 2)
-                if not g.has_edge(u, v)
+                for u in _bits(inner)
+                for v in _bits((inner & ~g.rows[u]) >> (u + 1) << (u + 1))
             ]
             if len(missing) > bound + 1:
                 continue

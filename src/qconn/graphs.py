@@ -102,7 +102,7 @@ class Graph:
         return tuple(r.bit_count() for r in self.rows)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
+        return bool(self.rows[operator.index(u)] >> operator.index(v) & 1)
 
     def neighbors(self, v: int) -> Iterator[int]:
         rest = self.rows[v]
@@ -267,6 +267,16 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 
 
 # -- traversal ----------------------------------------------------------
+
+
+def _bits(mask: int) -> Tuple[int, ...]:
+    """Set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return tuple(out)
 
 
 def _reach_mask(rows: Sequence[int], start: int, allowed: int) -> int:

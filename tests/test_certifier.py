@@ -86,6 +86,31 @@ def test_certify_all_family_representatives():
         assert not v.theorem_violation
 
 
+def test_certify_paper_scale_connectivity():
+    # the certified and exceptional branches at n = 103 on seeded inputs:
+    # K_103 minus 53 edges (p = 0.99) is 3-connected, and every relabeled
+    # A1 member is split by its Y, the first minimum cut of the pair scan,
+    # and gives back its removed edges in lexicographic order
+    rng = np.random.default_rng(103)
+    pairs = [(i, j) for i in range(103) for j in range(i + 1, 103)]
+    removed = [pairs[i] for i in rng.choice(len(pairs), 53, replace=False)]
+    v = certify(complete(103).with_edges_removed(removed), 3)
+    assert v.outcome == K_CONNECTED_CERTIFIED
+    assert v.connectivity.kappa == 3
+    for size in range(PARAMS.eprime_bound + 1):
+        for rep in enumerate_Eprime_orbits(PARAMS, size):
+            member = make_member(PARAMS, rep)
+            for perm in (np.arange(103), rng.permutation(103)):
+                g = member.graph.subgraph([int(u) for u in perm])
+                v = certify(g, 3)
+                assert v.outcome == EXCEPTIONAL_FAMILY, (rep, v.outcome)
+                label = {int(u): i for i, u in enumerate(perm)}
+                y = tuple(sorted(label[u] for u in member.partition.Y))
+                assert v.connectivity.cut == y == v.membership.partition.Y, rep
+                removed = sorted(tuple(sorted((label[a], label[b]))) for a, b in rep)
+                assert list(v.membership.removed_edges) == removed, rep
+
+
 def test_certify_explicit_delta():
     v = certify(complete(103), 3, delta=3)
     assert v.outcome == K_CONNECTED_CERTIFIED

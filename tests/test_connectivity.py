@@ -83,6 +83,16 @@ def test_is_k_connected_examples():
     assert ok
 
 
+def test_witness_comes_from_first_pair():
+    # triangles {1,3,4} and {2,5,6} hang off the triangle {0,1,2}: the
+    # cut vertices 1 and 2 are both minimum cuts, and the pair scan in
+    # lexicographic order meets (0, 3), split by 1, before (0, 5)
+    g = Graph(7, [(0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (3, 4), (2, 5), (2, 6), (5, 6)])
+    assert is_k_connected(g, 2) == (False, (1,))
+    assert vertex_connectivity(g).cut == (1,)
+    assert local_connectivity(g, 0, 5) == (1, (2,))
+
+
 def test_brute_force_examples():
     assert brute_force_connectivity(complete(4)).kappa == 3
     star5 = join(complete(1), empty(4))
@@ -147,6 +157,13 @@ def test_menger_consistency(rng):
 def test_local_connectivity_rejects_adjacent():
     with pytest.raises(ValueError):
         local_connectivity(complete(3), 0, 1)
+
+
+def test_local_connectivity_numpy_ids():
+    # numpy integer ids, past bit 63 too, act as plain ints
+    g = cycle(70)
+    assert local_connectivity(g, np.int64(0), np.int64(66)) == (2, (1, 69))
+    assert local_connectivity(g, np.int64(0), np.int64(66), cap=1) == (1, ())
 
 
 # -- sufficient conditions ------------------------------------------------------

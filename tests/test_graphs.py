@@ -59,10 +59,15 @@ def test_numpy_vertex_ids():
     assert g.with_edges_removed([(u, v)]) == Graph(70, plain).with_edges_removed([(int(u), int(v))])
     h = g.with_edges_removed([(u, v)]).with_edge_added(u, v)
     assert h == g
+    assert g.has_edge(u, v) and g.has_edge(v, u)
+    assert complete(70).has_edge(np.int64(0), np.int64(65))
+    assert not empty(70).has_edge(np.int64(65), np.int64(0))
     with pytest.raises(TypeError):
         Graph(3, [(0, 1.0)])
     with pytest.raises(TypeError):
         g.with_edge_added(0, 65.0)
+    with pytest.raises(TypeError):
+        g.has_edge(0, 65.0)
 
 
 def test_complete_empty_counts():

@@ -1,12 +1,24 @@
-"""Property tests for the bit-row/numpy converters, the graph6 codec and
-the certified Q-index bracket."""
+"""Property tests for the bit-row/numpy converters, the graph6 codec, the
+certified Q-index bracket and exact vertex connectivity."""
 
 import hashlib
 
+import networkx as nx
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from qconn import Graph, disjoint_union, empty, parse_graph6, q_index, write_graph6
+from qconn import (
+    Graph,
+    brute_force_connectivity,
+    disjoint_union,
+    empty,
+    local_connectivity,
+    parse_graph6,
+    q_index,
+    vertex_connectivity,
+    write_graph6,
+)
+from qconn.connectivity import _FlowNet
 from qconn.harness import random_graph
 
 from conftest import random_graph_mask
@@ -67,6 +79,40 @@ def test_q_bracket_contains_eigvalsh_components(n1, n2, isolated, seed, p):
     if g.n < 32:
         g = disjoint_union(g, empty(32 - g.n))
     assert_bracket_contains_eigvalsh(g)
+
+
+def unseeded_flow(g: Graph, s: int, t: int):
+    """Max flow on the vertex-split network of the whole graph: the value
+    and the residual-reachable (s-closest) minimum separator."""
+    net = _FlowNet(g, s, t)
+    value = 0
+    while net.augment():
+        value += 1
+    return value, net.min_cut_vertices()
+
+
+@PROPERTY
+@given(st.integers(2, 10), seeds, densities, st.integers(0, 10**6), st.integers(0, 9))
+def test_local_connectivity_matches_full_network(n, seed, p, pick, cap):
+    g = random_graph_mask(n, np.random.default_rng(seed), p=p)
+    pairs = [(s, t) for s in range(n) for t in range(s + 1, n) if not g.has_edge(s, t)]
+    if not pairs:
+        return
+    s, t = pairs[pick % len(pairs)]
+    value, cut = unseeded_flow(g, s, t)
+    assert local_connectivity(g, s, t) == (value, cut)
+    for c in (cap, value, value + 1):
+        assert local_connectivity(g, s, t, cap=c) == ((c, ()) if value >= c else (value, cut))
+    other = nx.Graph(list(g.edges()))
+    other.add_nodes_from(range(n))
+    assert nx.node_connectivity(other, s, t) == value
+
+
+@PROPERTY
+@given(st.integers(1, 10), seeds, densities)
+def test_vertex_connectivity_matches_brute_force(n, seed, p):
+    g = random_graph_mask(n, np.random.default_rng(seed), p=p)
+    assert vertex_connectivity(g).kappa == brute_force_connectivity(g).kappa
 
 
 def test_random_graph_bytes_pinned():
