@@ -5,7 +5,10 @@ The full campaigns behind the acceptance suite:
   lemma22        every connected labeled graph with 2 <= n <= 7 against the
                  edge-count upper bound (1.9M graphs)
   lemma23        all 4.79M complement-budget graphs on 8 vertices against
-                 the density condition
+                 the density condition, unranked in blocks of 65,536 into
+                 numpy bit rows and tested together (about 3 s); only the
+                 graphs found not 3-connected, and every 100,000th graph,
+                 take the per-graph path
   counterexample 10^4 seeded random graphs at n = 103 through the verdict
                  pipeline, hunting for a theorem violation (none exist)
 Here we run shrunken versions of each and print the report summaries.

@@ -278,9 +278,9 @@ class DensityCheck:
     hypothesis_failures: Tuple[str, ...]
 
 
-def density_condition(g: Graph, k: int, delta: int) -> DensityCheck:
-    n = g.n
-    profile = degree_profile(g)
+def density_parameter_failures(n: int, k: int, delta: int) -> list:
+    """The parameter hypotheses of the density condition that (n, k, delta)
+    violates, worded for reports; empty when all hold."""
     failures = []
     if not k >= 2:
         failures.append(f"k >= 2 fails (k={k})")
@@ -288,6 +288,13 @@ def density_condition(g: Graph, k: int, delta: int) -> DensityCheck:
         failures.append(f"delta >= k fails (delta={delta}, k={k})")
     if not n >= 2 * delta - k + 5:
         failures.append(f"n >= 2*delta-k+5 fails (n={n}, needs {2 * delta - k + 5})")
+    return failures
+
+
+def density_condition(g: Graph, k: int, delta: int) -> DensityCheck:
+    n = g.n
+    profile = degree_profile(g)
+    failures = density_parameter_failures(n, k, delta)
     if not profile.is_connected:
         failures.append("graph not connected")
     if not profile.min_degree >= delta:

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, List, Optional
 import numpy as np
 
 from . import certifier
-from .connectivity import is_k_connected, is_k_connected_small
+from .connectivity import density_parameter_failures, is_k_connected, is_k_connected_small
 from .extremal import (
     ExtremalParams,
     build_A,
@@ -43,7 +43,6 @@ from .graphs import (
     parse_graph6,
     write_graph6,
     _graph_from_bool,
-    _reach_mask,
 )
 from .spectral import decide_q_gt, q_upper_bound_edges
 
@@ -267,48 +266,120 @@ def _run_lemma22(config: CampaignConfig, report: Report) -> None:
     report.details["violations_by_order"] = by_order
 
 
-def _lemma23_chunk(task: tuple) -> dict:
-    """All complement subsets of one size in the density-condition sweep.
+# graphs per lemma23 task: bounds a task's arrays and balances the workers
+_LEMMA23_BLOCK = 1 << 16
+# every this-many-th graph of a complement size is cross-checked by max flow
+_LEMMA23_STRIDE = 100_000
 
-    Works directly on bit rows for throughput; every 100000th tested graph
-    is cross-checked against the max-flow connectivity path.
+
+def _unrank_combinations(npairs: int, size: int, lo: int, hi: int) -> np.ndarray:
+    """Rows ``lo..hi-1`` of ``itertools.combinations(range(npairs), size)``
+    as an ``(hi - lo, size)`` int64 array.
+
+    The lexicographic rank r of c_0 < ... < c_{s-1} satisfies
+    C(N, s) - 1 - r = sum_i C(N-1-c_i, s-i): the combinatorial number system
+    rank of the reflected subset, decoded greedily from c_0 on with one
+    ``searchsorted`` per position.
     """
-    n, k, delta, size, crosscheck_stride = task
+    rest = math.comb(npairs, size) - 1 - np.arange(lo, hi, dtype=np.int64)
+    out = np.empty((hi - lo, size), dtype=np.int64)
+    for pos in range(size):
+        table = np.array([math.comb(a, size - pos) for a in range(npairs)], dtype=np.int64)
+        top = np.searchsorted(table, rest, side="right") - 1
+        rest -= table[top]
+        out[:, pos] = npairs - 1 - top
+    return out
+
+
+def _reach_within(graphs: np.ndarray, spread: np.ndarray, seen: np.ndarray,
+                  allowed: int) -> np.ndarray:
+    """Per graph, the vertices of ``allowed`` reachable from ``seen``.
+
+    ``graphs`` holds one uint64 per graph whose byte v is the bit row of
+    vertex v, and byte v of ``spread[x]`` is 0xFF when bit v of x is set.
+    One step ORs together the rows of the vertices seen so far; the steps
+    run until no graph of the batch gains a vertex.
+    """
+    while True:
+        x = graphs & spread[seen]
+        x |= x >> np.uint64(32)
+        x |= x >> np.uint64(16)
+        x |= x >> np.uint64(8)
+        grown = (x.astype(np.uint8) & np.uint8(allowed)) | seen
+        if np.array_equal(grown, seen):
+            return seen
+        seen = grown
+
+
+def _k_connected_rows(rows: np.ndarray, n: int, k: int) -> np.ndarray:
+    """k-connectivity of each graph of a ``(B, 8)`` uint8 bit-row array
+    (vertices ``0..n-1``, n <= 8, padding rows zero) whose minimum degree is
+    at least k: then G is k-connected iff G - S is connected for every
+    (k-1)-subset S, as in ``is_k_connected_small``.  At k = 1 this is
+    connectivity, for any graph."""
+    graphs = rows.view(np.uint64).ravel()
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
+    spread = (bits * 0xFF).astype(np.uint8).view(np.uint64).ravel()
+    full = (1 << n) - 1
+    ok = np.ones(len(graphs), dtype=bool)
+    for sub in itertools.combinations(range(n), k - 1):
+        allowed = full & ~sum(1 << v for v in sub)
+        start = np.full(len(graphs), allowed & -allowed, dtype=np.uint8)
+        ok &= _reach_within(graphs, spread, start, allowed) == allowed
+    return ok
+
+
+def _lemma23_chunk(task: tuple) -> dict:
+    """Ranks ``lo..hi-1`` of the complement subsets of one size in the
+    density-condition sweep, in ``itertools.combinations`` order.
+
+    The block is unranked and filtered as numpy bit rows, one uint8 per
+    vertex.  Graphs the batched k-connectivity test rejects, and every
+    ``_LEMMA23_STRIDE``-th graph of the size, take the scalar path in
+    rank order: ``is_k_connected_small`` must agree with the batch, the
+    stride graphs are cross-checked against max flow, and a graph that is
+    not k-connected must be a member of the extremal construction.
+    """
+    n, k, delta, size, lo, hi = task
     pairs = list(itertools.combinations(range(n), 2))
-    full_rows = [((1 << n) - 1) & ~(1 << i) for i in range(n)]
-    full_mask = (1 << n) - 1
-    rhs = n * (n - 1) // 2 - (delta - k + 3) * (n - delta - 2)
-    max_cdeg = n - 1 - delta
-    part = {"tested": 0, "passed": 0, "failed": 0, "skipped": 0, "undecided": 0,
-            "violations": [], "extras": {"enumerated": 0, "exceptional": 0, "crosschecked": 0}}
     npairs = len(pairs)
-    for sub in itertools.combinations(range(npairs), size):
-        part["extras"]["enumerated"] += 1
-        part["tested"] += 1
-        rows = full_rows[:]
-        cdeg = [0] * n
-        ok = True
-        for e in sub:
-            i, j = pairs[e]
-            rows[i] &= ~(1 << j)
-            rows[j] &= ~(1 << i)
-            cdeg[i] += 1
-            cdeg[j] += 1
-            if cdeg[i] > max_cdeg or cdeg[j] > max_cdeg:
-                ok = False
-        if not ok:  # min degree below delta
-            part["skipped"] += 1
-            continue
-        if _reach_mask(rows, 0, full_mask) != full_mask:
-            part["skipped"] += 1
-            continue
-        m = n * (n - 1) // 2 - size
-        if not m > rhs:
-            part["skipped"] += 1
-            continue
-        g = Graph.from_rows(rows, validate=False)
+    m = npairs - size
+    rhs = npairs - (delta - k + 3) * (n - delta - 2)
+    count = hi - lo
+    part = {"tested": count, "passed": 0, "failed": 0, "skipped": 0, "undecided": 0,
+            "violations": [], "extras": {"enumerated": count, "exceptional": 0, "crosschecked": 0}}
+    if not m > rhs:
+        part["skipped"] = count
+        return part
+    pair_rows = np.zeros((npairs, 8), dtype=np.uint8)
+    for e, (i, j) in enumerate(pairs):
+        pair_rows[e, i], pair_rows[e, j] = 1 << j, 1 << i
+    pair_bits = pair_rows.view(np.uint64).ravel()  # byte v: the pair's bits in row v
+    complement = pair_bits[_unrank_combinations(npairs, size, lo, hi)]
+    graphs = np.bitwise_xor.reduce(complement, axis=1) ^ np.bitwise_xor.reduce(pair_bits)
+    rows = graphs.view(np.uint8).reshape(count, 8)
+    popcount = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
+    # within the budget a disconnected graph already fails the degree filter
+    # (it misses >= (delta+1)(n-delta-1) edges); connectivity is checked anyway
+    keep = (popcount[rows[:, :n]].min(axis=1) >= delta) & _k_connected_rows(rows, n, 1)
+    kept = np.flatnonzero(keep)
+    part["skipped"] = count - len(kept)
+    kernel_ok = _k_connected_rows(rows[kept], n, k)
+    strided = (lo + kept + 1) % _LEMMA23_STRIDE == 0  # 1-based position within the size
+    scalar = ~kernel_ok | strided
+    part["passed"] = len(kept) - int(scalar.sum())
+    for idx, batch_ok, stride_hit in zip(kept[scalar].tolist(), kernel_ok[scalar].tolist(),
+                                         strided[scalar].tolist()):
+        g = Graph.from_rows(rows[idx, :n].tolist(), validate=False)
         conn_ok, _ = is_k_connected_small(g, k)
-        if crosscheck_stride and part["tested"] % crosscheck_stride == 0:
+        if conn_ok != batch_ok:
+            part["failed"] += 1
+            part["violations"].append({
+                "graph6": write_graph6(g),
+                "detail": "batched and subset connectivity checks disagree",
+            })
+            continue
+        if stride_hit:
             flow_ok, _ = is_k_connected(g, k)
             part["extras"]["crosschecked"] += 1
             if flow_ok != conn_ok:
@@ -349,17 +420,26 @@ def _run_lemma23(config: CampaignConfig, report: Report) -> None:
     k, delta = config.k, config.delta
     if n > 8:
         raise CampaignError("density sweep is exhaustive only up to n=8")
-    budget = config.complement_budget
-    if budget is None:
-        # m > n(n-1)/2 - (delta-k+3)(n-delta-2) means the complement has
-        # strictly fewer than (delta-k+3)(n-delta-2) edges
-        budget = (delta - k + 3) * (n - delta - 2) - 1
-    tasks = [(n, k, delta, size, 100_000) for size in range(budget + 1)]
+    failures = density_parameter_failures(n, k, delta)
+    if failures:
+        raise CampaignError("density sweep outside the lemma's hypotheses: " + "; ".join(failures))
+    # m > n(n-1)/2 - (delta-k+3)(n-delta-2) means the complement has
+    # strictly fewer than (delta-k+3)(n-delta-2) edges
+    limit = (delta - k + 3) * (n - delta - 2) - 1
+    budget = limit if config.complement_budget is None else config.complement_budget
+    if not 0 <= budget <= limit:
+        raise CampaignError(f"complement budget {budget} outside [0, {limit}]: a larger "
+                            f"complement fails the density condition m > rhs")
+    npairs = n * (n - 1) // 2
+    tasks = []
+    for size in range(budget + 1):
+        total = math.comb(npairs, size)
+        for lo in range(0, total, _LEMMA23_BLOCK):
+            tasks.append((n, k, delta, size, lo, min(lo + _LEMMA23_BLOCK, total)))
     partials = _run_tasks(tasks, _lemma23_chunk, config.workers)
     _merge_partials(report, partials)
     report.details["n"] = n
     report.details["complement_budget"] = budget
-    npairs = n * (n - 1) // 2
     report.details["universe"] = sum(math.comb(npairs, c) for c in range(budget + 1))
 
 

@@ -1,6 +1,9 @@
+import hashlib
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qconn import (
@@ -15,6 +18,10 @@ from qconn import (
     stream_corpus,
     write_graph6,
 )
+from qconn import harness
+from qconn.cli import main
+from qconn.connectivity import is_k_connected_small
+from qconn.graphs import iter_labeled_graphs
 from qconn.harness import CampaignError, CorpusError, RandomGraphError
 
 
@@ -99,6 +106,88 @@ def test_lemma23_campaign_reduced_budget():
     assert report.failed == 0 and report.violations == []
     assert report.details["exceptional"] == 0
     assert report.passed == report.tested - report.skipped
+
+
+# canonical-JSON sha256 of the per-graph sweep that preceded the batched kernel
+LEMMA23_PINS = [
+    pytest.param((8, 3, 3), 3, 1, "d2445a001cbaca8e97353849e20a55bddfd9e88253cbe02d8eb9466e02411904",
+                 id="n8-k3-d3-budget3-w1"),
+    pytest.param((8, 3, 3), 3, 2, "9f33d9a97c4aa9778076926bc9ddd93b9734a7e23d30ad01f36c5f3553cf58aa",
+                 id="n8-k3-d3-budget3-w2"),
+    # budget 5 reaches the skip branch: 168 graphs have minimum degree < 3
+    pytest.param((8, 3, 3), 5, 1, "be7bdbf3740fd280935d1157f07474816a906087b1cc80bfb78eab28b71f20bb",
+                 id="n8-k3-d3-budget5-w1"),
+    pytest.param((8, 3, 3), 5, 2, "059ac883a70e4ddd7e70965cc4813f2c89474be7c98880cce7b64bbc7601fa8b",
+                 id="n8-k3-d3-budget5-w2"),
+    # 401,930 graphs: 105 exceptional, 3 stride cross-checks
+    pytest.param((7, 2, 2), None, 1, "f6e25df04c2ec8131ca36a5f39438f417595c00d71c135f056ceed3918ae78c2",
+                 id="n7-k2-d2-w1"),
+]
+
+
+@pytest.mark.parametrize("block", [None, 1000], ids=["block-default", "block-1000"])
+@pytest.mark.parametrize("nkd,budget,workers,digest", LEMMA23_PINS)
+def test_lemma23_canonical_json_pinned(monkeypatch, block, nkd, budget, workers, digest):
+    if block is not None:  # many rank intervals per size
+        monkeypatch.setattr(harness, "_LEMMA23_BLOCK", block)
+    n, k, delta = nkd
+    report = run_campaign(CampaignConfig(mode="lemma23", n=n, k=k, delta=delta,
+                                         complement_budget=budget, workers=workers))
+    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(k=0),  # k >= 2
+    dict(n=5, k=2, delta=1),  # delta >= k: it recorded 20 false violations
+    dict(n=7, k=3, delta=3),  # n >= 2*delta-k+5
+    dict(complement_budget=-1),
+    dict(complement_budget=9),  # (delta-k+3)(n-delta-2) - 1 = 8
+    dict(complement_budget=40),  # 2^28 graphs, every one skipped
+])
+def test_lemma23_rejects_config_outside_hypotheses(overrides):
+    config = CampaignConfig(**{**dict(mode="lemma23", n=8, k=3, delta=3), **overrides})
+    with pytest.raises(CampaignError):
+        run_campaign(config)
+
+
+def test_lemma23_bad_config_exit_code(capsys):
+    assert main(["sweep", "--mode", "lemma23", "--n", "5", "--k", "2", "--delta", "1"]) == 2
+    assert "delta >= k fails (delta=1, k=2)" in capsys.readouterr().err
+    assert main(["sweep", "--mode", "lemma23", "--n", "8", "--budget", "40"]) == 2
+
+
+def test_lemma23_scalar_path_must_agree_with_batch(monkeypatch):
+    # a subset check that never finds k-connectivity contradicts the batch
+    # on the three stride graphs, which the batch found 2-connected
+    monkeypatch.setattr(harness, "is_k_connected_small", lambda g, k: (False, ()))
+    report = run_campaign(CampaignConfig(mode="lemma23", n=7, k=2, delta=2))
+    assert report.counters_consistent()
+    assert report.failed == 3 and report.details["exceptional"] == 105
+    assert {v["detail"] for v in report.violations} == {
+        "batched and subset connectivity checks disagree"}
+
+
+@pytest.mark.parametrize("npairs,size", [(28, 0), (28, 1), (28, 4), (15, 5), (10, 10)])
+def test_unrank_combinations_matches_itertools(npairs, size):
+    want = np.array(list(itertools.combinations(range(npairs), size)), dtype=np.int64)
+    want = want.reshape(math.comb(npairs, size), size)
+    got = harness._unrank_combinations(npairs, size, 0, len(want))
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    lo, hi = len(want) // 3, len(want) // 3 + len(want) // 2 + 1
+    assert np.array_equal(harness._unrank_combinations(npairs, size, lo, hi), want[lo:hi])
+
+
+def test_k_connected_rows_matches_subset_check():
+    for n in range(1, 7):
+        graphs = list(iter_labeled_graphs(n))
+        rows = np.zeros((len(graphs), 8), dtype=np.uint8)
+        rows[:, :n] = [g.rows for g in graphs]
+        mindeg = np.array([min(g.degrees()) for g in graphs])
+        for k in range(1, 5):
+            admissible = np.flatnonzero(mindeg >= k)
+            got = harness._k_connected_rows(rows[admissible], n, k)
+            want = [is_k_connected_small(graphs[i], k)[0] for i in admissible]
+            assert got.tolist() == want, (n, k)
 
 
 def test_theorem15_campaign():
