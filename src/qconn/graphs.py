@@ -37,9 +37,18 @@ class Graph:
     ``rows[i]`` is the neighbour bitmask of vertex ``i``.  Instances are
     treated as immutable: all "mutators" return new graphs, so sharing
     across concurrent workers is safe.
+
+    Each graph computes its facts at most once and keeps them: the degree
+    tuple (read by ``degrees``, ``m``, ``degree_array`` and
+    ``degree_profile``), the components as a tuple of vertex tuples (read
+    by ``components`` and ``is_connected``; an ``is_connected`` search that
+    spans the graph records the single component), the dense boolean
+    adjacency and the float64 degrees.  Every cached fact is a tuple or a
+    read-only array, so no caller can alter it, and a derived graph starts
+    with none of them.
     """
 
-    __slots__ = ("n", "rows", "_m", "_np_adj", "_np_deg")
+    __slots__ = ("n", "rows", "_degs", "_comps", "_np_adj", "_np_deg")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if n < 0:
@@ -56,7 +65,8 @@ class Graph:
             rows[v] |= 1 << u
         self.n = n
         self.rows = tuple(rows)
-        self._m: Optional[int] = None
+        self._degs: Optional[Tuple[int, ...]] = None
+        self._comps: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._np_adj: Optional[np.ndarray] = None
         self._np_deg: Optional[np.ndarray] = None
 
@@ -67,7 +77,8 @@ class Graph:
         g = cls.__new__(cls)
         g.n = len(rows)
         g.rows = tuple(rows)
-        g._m = None
+        g._degs = None
+        g._comps = None
         g._np_adj = None
         g._np_deg = None
         if validate:
@@ -91,15 +102,16 @@ class Graph:
     @property
     def m(self) -> int:
         """Number of edges."""
-        if self._m is None:
-            self._m = sum(r.bit_count() for r in self.rows) // 2
-        return self._m
+        return sum(self.degrees()) // 2
 
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
     def degrees(self) -> Tuple[int, ...]:
-        return tuple(r.bit_count() for r in self.rows)
+        """Degree of each vertex (cached)."""
+        if self._degs is None:
+            self._degs = tuple(r.bit_count() for r in self.rows)
+        return self._degs
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[operator.index(u)] >> operator.index(v) & 1)
@@ -296,30 +308,30 @@ def _reach_mask(rows: Sequence[int], start: int, allowed: int) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    full = (1 << g.n) - 1
-    return _reach_mask(g.rows, 0, full) == full
+    if g._comps is None:
+        if g.n <= 1:
+            return True
+        full = (1 << g.n) - 1
+        if _reach_mask(g.rows, 0, full) != full:
+            return False
+        g._comps = (tuple(range(g.n)),)
+    return len(g._comps) <= 1
 
 
-def components(g: Graph) -> list[list[int]]:
-    """Connected components as sorted vertex lists, ordered by least vertex."""
-    full = (1 << g.n) - 1
-    seen = 0
-    out = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        mask = _reach_mask(g.rows, v, full & ~seen)
-        seen |= mask
-        comp = []
-        rest = mask
-        while rest:
-            b = rest & -rest
-            comp.append(b.bit_length() - 1)
-            rest ^= b
-        out.append(comp)
-    return out
+def components(g: Graph) -> Tuple[Tuple[int, ...], ...]:
+    """Connected components as sorted vertex tuples, ordered by least
+    vertex (cached)."""
+    if g._comps is None:
+        full = (1 << g.n) - 1
+        seen = 0
+        out = []
+        for v in range(g.n):
+            if not seen >> v & 1:
+                mask = _reach_mask(g.rows, v, full & ~seen)
+                seen |= mask
+                out.append(_bits(mask))
+        g._comps = tuple(out)
+    return g._comps
 
 
 def degree_profile(g: Graph) -> DegreeProfile:

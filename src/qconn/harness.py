@@ -42,6 +42,7 @@ from .graphs import (
     iter_labeled_graphs,
     parse_graph6,
     write_graph6,
+    _ENUMERATION_MAX_N,
     _graph_from_bool,
 )
 from .spectral import decide_q_gt, q_upper_bound_edges
@@ -248,6 +249,10 @@ def _lemma22_chunk(task: tuple) -> dict:
 
 
 def _run_lemma22(config: CampaignConfig, report: Report) -> None:
+    if config.n_max > _ENUMERATION_MAX_N:
+        raise CampaignError(f"edge-bound sweep is exhaustive only up to n={_ENUMERATION_MAX_N}")
+    if config.n_min > config.n_max:
+        raise CampaignError(f"n_min={config.n_min} exceeds n_max={config.n_max}")
     tasks = []
     chunk = 1 << 16
     for n in range(max(2, config.n_min), config.n_max + 1):
@@ -598,9 +603,9 @@ def run_campaign(config: CampaignConfig) -> Report:
     if config.mode not in _RUNNERS:
         raise CampaignError(f"unknown mode {config.mode!r}; choose from {MODES}")
     report = Report(mode=config.mode, config=config.to_dict())
-    start = time.time()
+    start = time.perf_counter()
     _RUNNERS[config.mode](config, report)
-    report.wall_clock_s = time.time() - start
+    report.wall_clock_s = time.perf_counter() - start
     if config.output_path:
         with open(config.output_path, "w") as fh:
             fh.write(report.to_json())

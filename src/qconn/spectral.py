@@ -160,31 +160,37 @@ def _iterate_np(adj, d, tol, max_iter, diag_degree, shift, stop):
     """Same iteration, numpy path, on a dense boolean component adjacency.
 
     The float64 adjacency is built once per call; each step then runs in
-    preallocated buffers.  The diagonal stays a separate term added after
-    the matmul: folding it into the matrix would reorder each row sum and
-    move the brackets, and so the reported bytes, by an ulp.
+    preallocated buffers through ufuncs bound once, since at desk scale a
+    step costs more in numpy dispatch than in arithmetic.  The norm is
+    ``sqrt(w.dot(w))``, which is exactly what ``np.linalg.norm`` computes
+    for a real vector.  The diagonal stays a separate term added after the
+    matmul: folding it into the matrix would reorder each row sum and move
+    the brackets, and so the reported bytes, by an ulp.
     """
     a = adj.astype(np.float64)
     diag = (d + shift) if diag_degree else np.full_like(d, shift)
     v = d + 1.0
-    v /= np.linalg.norm(v)
+    v /= math.sqrt(v.dot(v))
     w = np.empty_like(v)
     quot = np.empty_like(v)
+    matvec, dot, sqrt = a.dot, w.dot, math.sqrt
+    multiply, add, divide = np.multiply, np.add, np.divide
+    least, most = np.minimum.reduce, np.maximum.reduce
     best_lo, best_up = 0.0, math.inf
     it = 0
     while it < max_iter:
         it += 1
-        np.matmul(a, v, out=w)
-        np.multiply(diag, v, out=quot)
-        w += quot
-        np.divide(w, v, out=quot)
-        lo = float(quot.min())
-        up = float(quot.max())
+        matvec(v, out=w)
+        multiply(diag, v, out=quot)
+        add(w, quot, out=w)
+        divide(w, v, out=quot)
+        lo = float(least(quot))
+        up = float(most(quot))
         if lo > best_lo:
             best_lo = lo
         if up < best_up:
             best_up = up
-        np.divide(w, np.linalg.norm(w), out=v)
+        divide(w, sqrt(dot(w)), out=v)
         if best_up - best_lo <= tol:
             return min(best_lo, best_up) - shift, best_up - shift, v, it, True
         if stop is not None and stop(best_lo - shift, best_up - shift):
@@ -229,7 +235,7 @@ def _spectral_radius(g, tol, max_iter, diag_degree, shift, stop=None) -> Spectra
         vector = np.asarray(best[2], dtype=np.float64)
     else:
         vector = np.zeros(g.n)
-        vector[best[4]] = best[2]
+        vector[list(best[4])] = best[2]
     converged = all(r[3] for r in results) and upper - lower <= tol
     return SpectralEstimate(
         lower=lower,

@@ -123,7 +123,7 @@ def test_degree_profile_examples():
 
 def test_components():
     g = disjoint_union(cycle(3), disjoint_union(complete(2), empty(1)))
-    assert components(g) == [[0, 1, 2], [3, 4], [5]]
+    assert components(g) == ((0, 1, 2), (3, 4), (5,))
     assert not is_connected(g)
     assert is_connected(cycle(4))
     assert is_connected(empty(1))

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -94,6 +95,43 @@ def test_lemma22_campaign_deterministic():
     a = run_campaign(config).canonical_json()
     b = run_campaign(config).canonical_json()
     assert a == b
+
+
+# canonical-JSON sha256 of the per-graph edge-bound sweep; a batched
+# kernel must reproduce these bytes
+LEMMA22_PINS = [
+    pytest.param(5, 1, "40bd97ee4714c35bf49c1f9f1ca70db94d2dcfa031c82342d6503c26f00bc65f", id="n5-w1"),
+    pytest.param(5, 2, "a58a56d5e915e722ac3afe6abc54707a8dd3cc9c27b7319a351d545be9655399", id="n5-w2"),
+    pytest.param(6, 1, "45c4f0e8b058a77b0855ac627690171baffde3f0d92871f3ac1feb054d6a50ad", id="n6-w1"),
+    pytest.param(6, 2, "bbace6b4dbc2d52e15f7589f30e0e9faf52188298463e75865c5cd182c445038", id="n6-w2"),
+]
+
+
+@pytest.mark.parametrize("n_max,workers,digest", LEMMA22_PINS)
+def test_lemma22_canonical_json_pinned(n_max, workers, digest):
+    report = run_campaign(CampaignConfig(mode="lemma22", n_max=n_max, workers=workers))
+    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("n_min,n_max", [(6, 8), (2, 9), (5, 4)])
+def test_lemma22_rejects_bad_orders_before_sweeping(monkeypatch, n_min, n_max):
+    def no_sweep(task):
+        raise AssertionError("a task ran before the config was checked")
+
+    monkeypatch.setattr(harness, "_lemma22_chunk", no_sweep)
+    start = time.perf_counter()
+    with pytest.raises(CampaignError):
+        run_campaign(CampaignConfig(mode="lemma22", n_min=n_min, n_max=n_max))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_lemma22_bad_orders_exit_code(capsys):
+    start = time.perf_counter()
+    assert main(["sweep", "--mode", "lemma22", "--n-min", "6", "--n-max", "8"]) == 2
+    assert "exhaustive only up to n=7" in capsys.readouterr().err
+    assert main(["sweep", "--mode", "lemma22", "--n-min", "5", "--n-max", "4"]) == 2
+    assert "n_min=5 exceeds n_max=4" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_lemma23_campaign_reduced_budget():
@@ -253,6 +291,15 @@ def test_report_json_shape():
     assert payload["schema"] == 1
     assert set(payload) >= {"tested", "passed", "failed", "skipped", "undecided",
                             "violations", "details"}
+    assert "timing" not in json.loads(report.canonical_json())
+
+
+def test_wall_clock_is_monotonic_and_kept_out_of_canonical_json(monkeypatch):
+    # the system clock can jump; campaign timing reads perf_counter only
+    monkeypatch.setattr(harness.time, "time", lambda: pytest.fail("time.time was read"))
+    report = run_campaign(CampaignConfig(mode="lemma22", n_max=4))
+    assert report.wall_clock_s > 0
+    assert json.loads(report.to_json())["timing"] == {"wall_clock_s": report.wall_clock_s}
     assert "timing" not in json.loads(report.canonical_json())
 
 

@@ -1,17 +1,26 @@
 """Property tests for the bit-row/numpy converters, the graph6 codec, the
-certified Q-index bracket and exact vertex connectivity."""
+cached graph facts, the certified Q-index bracket and exact vertex
+connectivity."""
 
+import dataclasses
 import hashlib
+import itertools
 
 import networkx as nx
+import pytest
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from qconn import (
+    DegreeProfile,
     Graph,
     brute_force_connectivity,
+    components,
+    cycle,
+    degree_profile,
     disjoint_union,
     empty,
+    is_connected,
     local_connectivity,
     parse_graph6,
     q_index,
@@ -47,6 +56,95 @@ def test_graph6_round_trip_and_adjacency(n, seed, p):
     expect = edge_matrix(g)
     assert np.array_equal(parsed.adjacency_bool(), expect)
     assert np.array_equal(Graph.from_rows(g.rows).adjacency_bool(), expect)
+
+
+FACTS = {
+    "is_connected": is_connected,
+    "components": components,
+    "degrees": Graph.degrees,
+    "m": lambda g: g.m,
+    "degree_profile": degree_profile,
+}
+
+
+def fresh_facts(g: Graph) -> dict:
+    """The facts recomputed from the edge list alone."""
+    edges = list(g.edges())
+    degs = [0] * g.n
+    for u, v in edges:
+        degs[u] += 1
+        degs[v] += 1
+    other = nx.Graph(edges)
+    other.add_nodes_from(range(g.n))
+    comps = tuple(sorted(tuple(sorted(c)) for c in nx.connected_components(other)))
+    connected = len(comps) <= 1
+    return {
+        "is_connected": connected,
+        "components": comps,
+        "degrees": tuple(degs),
+        "m": len(edges),
+        "degree_profile": DegreeProfile(tuple(degs), min(degs, default=0), len(edges), connected),
+    }
+
+
+def assert_no_cached_facts(g: Graph) -> None:
+    assert (g._degs, g._comps, g._np_adj, g._np_deg) == (None, None, None, None)
+
+
+def drawn_graph(n: int, seed: int, p: float, shape: str) -> Graph:
+    rng = np.random.default_rng(seed)
+    g = random_graph_mask(n, rng, p=p)
+    if shape == "graph6":  # parsed graphs arrive with their dense matrix
+        return parse_graph6(write_graph6(g))
+    if shape == "pieces":  # several components, isolated vertices included
+        return disjoint_union(disjoint_union(g, cycle(3)), empty(int(rng.integers(1, 3))))
+    return g
+
+
+@PROPERTY
+@given(st.integers(0, 40), seeds, densities, st.sampled_from(["rows", "graph6", "pieces"]))
+def test_cached_facts_match_edges_in_every_call_order(n, seed, p, shape):
+    g = drawn_graph(n, seed, p, shape)
+    want = fresh_facts(g)
+    for order in itertools.permutations(FACTS):
+        h = Graph.from_rows(g.rows)
+        assert_no_cached_facts(h)
+        for name in order:
+            assert FACTS[name](h) == want[name], (order, name)
+        for name in FACTS:  # and again, now from the caches
+            assert FACTS[name](h) == want[name], (order, name)
+
+
+@PROPERTY
+@given(st.integers(1, 40), seeds, densities, st.sampled_from(["rows", "graph6", "pieces"]))
+def test_cached_facts_are_immutable_and_not_inherited(n, seed, p, shape):
+    g = drawn_graph(n, seed, p, shape)
+    for name in FACTS:
+        FACTS[name](g)
+    g.adjacency_bool(), g.degree_array()
+    with pytest.raises(TypeError):
+        g.degrees()[0] = -1
+    with pytest.raises(TypeError):
+        components(g)[0] = ()
+    with pytest.raises(TypeError):
+        components(g)[0][0] = -1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        degree_profile(g).is_connected = not is_connected(g)
+    for array in (g.adjacency_bool(), g.degree_array()):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert fresh_facts(g) == {name: FACTS[name](g) for name in FACTS}
+
+    edges = list(g.edges())
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    derived = [g.complement(), g.subgraph(range(0, g.n, 2)), g.subgraph(range(g.n))]
+    if edges:
+        derived.append(g.with_edges_removed(edges[:1]))
+    if non_edges:
+        derived.append(g.with_edge_added(*non_edges[-1]))
+    for h in derived:
+        assert_no_cached_facts(h)
+        assert {name: FACTS[name](h) for name in FACTS} == fresh_facts(h)
 
 
 def assert_bracket_contains_eigvalsh(g: Graph) -> None:

@@ -5,20 +5,25 @@ import numpy as np
 import pytest
 
 from qconn import (
+    ExtremalParams,
     Graph,
     adjacency_dense_oracle,
     adjacency_spectral_radius,
     complete,
+    components,
     cycle,
     decide_q_ge,
     decide_q_gt,
     disjoint_union,
     empty,
+    enumerate_Eprime_orbits,
     join,
+    make_member,
     path,
     q_apply,
     q_index,
     q_index_dense_oracle,
+    q_threshold,
     q_upper_bound_edges,
     rayleigh_q,
     rayleigh_q_exact,
@@ -125,6 +130,88 @@ def test_trivial_graphs():
     assert est.lower == est.upper == 0.0 and est.converged
     assert q_index(empty(5)).value == 0.0
     assert q_index(complete(2)).value == pytest.approx(2.0)
+
+
+# -- the numpy power step against its reference loop ---------------------------
+
+
+def reference_iterate_np(adj, d, tol, max_iter, diag_degree, shift, stop):
+    """The numpy power step written plainly: ``np.linalg.norm`` and
+    ``ndarray.min``/``max``.  A faster step must match it bit for bit."""
+    a = adj.astype(np.float64)
+    diag = (d + shift) if diag_degree else np.full_like(d, shift)
+    v = d + 1.0
+    v /= np.linalg.norm(v)
+    w = np.empty_like(v)
+    quot = np.empty_like(v)
+    best_lo, best_up = 0.0, math.inf
+    it = 0
+    while it < max_iter:
+        it += 1
+        np.matmul(a, v, out=w)
+        np.multiply(diag, v, out=quot)
+        w += quot
+        np.divide(w, v, out=quot)
+        lo = float(quot.min())
+        up = float(quot.max())
+        if lo > best_lo:
+            best_lo = lo
+        if up < best_up:
+            best_up = up
+        np.divide(w, np.linalg.norm(w), out=v)
+        if best_up - best_lo <= tol:
+            return min(best_lo, best_up) - shift, best_up - shift, v, it, True
+        if stop is not None and stop(best_lo - shift, best_up - shift):
+            return min(best_lo, best_up) - shift, best_up - shift, v, it, False
+    return min(best_lo, best_up) - shift, best_up - shift, v, it, False
+
+
+def power_step_graphs():
+    """Seeded graphs on the numpy path (32 <= n <= 150): sparse and dense,
+    connected and with several components, isolated vertices included."""
+    rng = np.random.default_rng(606)
+    graphs = []
+    for n, p in ((32, 0.15), (57, 0.08), (103, 0.04), (103, 0.5), (150, 0.9), (121, 0.3)):
+        g = random_graph_mask(n, rng, p=p)
+        for i in range(n - 1):  # a Hamiltonian path keeps the draw connected
+            if not g.has_edge(i, i + 1):
+                g = g.with_edge_added(i, i + 1)
+        graphs.append(g)
+    graphs.append(random_graph_mask(103, rng, p=0.04))  # a giant component and debris
+    graphs.append(disjoint_union(random_graph_mask(70, rng, p=0.6),
+                                 disjoint_union(cycle(12), empty(3))))
+    graphs.append(disjoint_union(complete(40), random_graph_mask(60, rng, p=0.1)))
+    return graphs
+
+
+def same_estimate(got, want) -> bool:
+    return ((got.lower, got.upper, got.iterations, got.converged)
+            == (want.lower, want.upper, want.iterations, want.converged)
+            and got.vector.tobytes() == want.vector.tobytes())
+
+
+def test_power_step_matches_reference_bit_for_bit(monkeypatch):
+    from qconn import spectral
+
+    graphs = power_step_graphs()
+    assert {len(components(g)) > 1 for g in graphs} == {False, True}
+    params = ExtremalParams(103, 3, 3)
+    threshold = float(q_threshold(params))
+    members = [make_member(params, rep).graph
+               for size in (1, 2) for rep in enumerate_Eprime_orbits(params, size)]
+    runs = {"q": lambda g: q_index(g), "tight": lambda g: q_index(g, 1e-12),
+            "adjacency": lambda g: adjacency_spectral_radius(g)}
+    got = {name: [run(g) for g in graphs] for name, run in runs.items()}
+    got_members = [decide_q_ge(g, threshold) for g in members]
+    monkeypatch.setattr(spectral, "_iterate_np", reference_iterate_np)
+    for name, run in runs.items():
+        for g, est in zip(graphs, got[name]):
+            assert same_estimate(est, run(g)), (name, g)
+    # near-threshold A1 (q >= T) and A2 (q < T) members of A(103,3,3)
+    assert {d for d, _ in got_members} == {True, False}
+    for g, (decision, est) in zip(members, got_members):
+        want_decision, want = decide_q_ge(g, threshold)
+        assert decision == want_decision and same_estimate(est, want)
 
 
 # -- dense eigvalsh oracle ----------------------------------------------------
