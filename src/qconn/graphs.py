@@ -13,6 +13,7 @@ n x n matrix, orders above ``MAX_ORDER`` (16 MB of matrix) are refused.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -281,8 +282,14 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
 # -- traversal ----------------------------------------------------------
 
 
+# set bits of each byte value, ascending
+_BYTE_BITS = tuple(tuple(j for j in range(8) if x >> j & 1) for x in range(256))
+
+
 def _bits(mask: int) -> Tuple[int, ...]:
     """Set bits of ``mask``, ascending."""
+    if mask < 256:
+        return _BYTE_BITS[mask]
     out = []
     while mask:
         b = mask & -mask
@@ -423,32 +430,96 @@ def _lower_triangle(n: int) -> np.ndarray:
     return np.tri(n, k=-1, dtype=bool)
 
 
+# -- bit-row words --------------------------------------------------------
+#
+# A graph on n <= 8 vertices fits one uint64 whose byte v is the bit row of
+# vertex v.  The batched kernels (the labeled enumerator below and the
+# density sweep in ``harness``) hold one such word per graph and share these
+# read-only tables and the reach kernel.
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+_POPCOUNT = _frozen(np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8))
+# byte v of _SPREAD[x] is 0xFF when bit v of x is set
+_SPREAD = _frozen((((np.arange(256)[:, None] >> np.arange(8)) & 1) * 0xFF)
+                  .astype(np.uint8).view(np.uint64).ravel())
+
+
+@functools.cache
+def _pair_words(n: int) -> np.ndarray:
+    """The word of each pair of ``itertools.combinations(range(n), 2)``, in
+    that order: byte i holds bit j and byte j holds bit i."""
+    pairs = list(itertools.combinations(range(n), 2))
+    rows = np.zeros((len(pairs), 8), dtype=np.uint8)
+    for e, (i, j) in enumerate(pairs):
+        rows[e, i], rows[e, j] = 1 << j, 1 << i
+    return _frozen(rows.view(np.uint64).ravel())
+
+
+def _reach_within(graphs: np.ndarray, seen: np.ndarray, allowed: int) -> np.ndarray:
+    """Per graph, the vertices of ``allowed`` reachable from ``seen``.
+
+    ``graphs`` holds one word per graph and ``seen`` one uint8 vertex set
+    per graph.  One step ORs together the rows of the vertices seen so far;
+    the steps run until no graph of the batch gains a vertex.
+    """
+    while True:
+        x = graphs & _SPREAD[seen]
+        x |= x >> np.uint64(32)
+        x |= x >> np.uint64(16)
+        x |= x >> np.uint64(8)
+        grown = (x.astype(np.uint8) & np.uint8(allowed)) | seen
+        if np.array_equal(grown, seen):
+            return seen
+        seen = grown
+
+
 # -- labeled enumeration -------------------------------------------------
 
 _ENUMERATION_MAX_N = 7
+# masks per numpy block: bounds the block arrays (about 350 KB at n = 7)
+_ENUMERATION_BLOCK = 1 << 11
 
 
 def iter_labeled_graphs(n: int, mask_range: Optional[Tuple[int, int]] = None) -> Iterator[Graph]:
     """Yield every labeled graph on ``n`` <= 7 vertices exactly once.
 
-    Walks all 2^C(n,2) edge masks in increasing order; ``mask_range``
-    restricts the walk to a half-open mask interval so concurrent
-    consumers can own disjoint chunks.
+    Walks all 2^C(n,2) edge masks in increasing order, bit e of a mask
+    standing for pair e of ``itertools.combinations(range(n), 2)``;
+    ``mask_range`` restricts the walk to a half-open mask interval so
+    concurrent consumers can own disjoint chunks.  Each block of at most
+    ``_ENUMERATION_BLOCK`` masks is built as bit-row words in numpy, with
+    degrees from a popcount table and connectivity from the reach kernel,
+    so every graph arrives with its degree tuple cached, and a connected
+    one with its single component.  An order outside [0, 7] or a range
+    outside [0, 2^C(n,2)] raises ``ValueError`` before any graph is yielded.
     """
-    if n > _ENUMERATION_MAX_N:
-        raise ValueError(f"labeled enumeration capped at n={_ENUMERATION_MAX_N}")
-    pairs = list(itertools.combinations(range(n), 2))
-    lo, hi = mask_range if mask_range else (0, 1 << len(pairs))
-    for mask in range(lo, hi):
-        rows = [0] * n
-        rest = mask
-        while rest:
-            b = rest & -rest
-            i, j = pairs[b.bit_length() - 1]
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-            rest ^= b
-        yield Graph.from_rows(rows, validate=False)
+    if not 0 <= n <= _ENUMERATION_MAX_N:
+        raise ValueError(f"labeled enumeration covers 0 <= n <= {_ENUMERATION_MAX_N}, not n={n}")
+    total = count_labeled_graphs(n)
+    lo, hi = (0, total) if mask_range is None else mask_range
+    if not 0 <= lo <= hi <= total:
+        raise ValueError(f"mask range [{lo}, {hi}) outside [0, {total}] for n={n}")
+    pair_words = _pair_words(n)
+    shifts = np.arange(len(pair_words), dtype=np.uint64)
+    full = (1 << n) - 1
+    spanning = (tuple(range(n)),) if n else ()
+    for start in range(lo, hi, _ENUMERATION_BLOCK):
+        masks = np.arange(start, min(start + _ENUMERATION_BLOCK, hi), dtype=np.uint64)
+        words = ((masks[:, None] >> shifts) & np.uint64(1)) @ pair_words
+        rows = words.view(np.uint8).reshape(-1, 8)[:, :n]
+        seen = np.full(len(words), full & -full, dtype=np.uint8)  # vertex 0, if any
+        connected = (_reach_within(words, seen, full) == full).tolist()
+        for row, degs, conn in zip(rows.tolist(), _POPCOUNT[rows].tolist(), connected):
+            g = Graph.from_rows(row, validate=False)
+            g._degs = tuple(degs)
+            if conn:
+                g._comps = spanning
+            yield g
 
 
 def count_labeled_graphs(n: int) -> int:

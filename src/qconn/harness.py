@@ -43,7 +43,10 @@ from .graphs import (
     parse_graph6,
     write_graph6,
     _ENUMERATION_MAX_N,
+    _POPCOUNT,
     _graph_from_bool,
+    _pair_words,
+    _reach_within,
 )
 from .spectral import decide_q_gt, q_upper_bound_edges
 
@@ -296,26 +299,6 @@ def _unrank_combinations(npairs: int, size: int, lo: int, hi: int) -> np.ndarray
     return out
 
 
-def _reach_within(graphs: np.ndarray, spread: np.ndarray, seen: np.ndarray,
-                  allowed: int) -> np.ndarray:
-    """Per graph, the vertices of ``allowed`` reachable from ``seen``.
-
-    ``graphs`` holds one uint64 per graph whose byte v is the bit row of
-    vertex v, and byte v of ``spread[x]`` is 0xFF when bit v of x is set.
-    One step ORs together the rows of the vertices seen so far; the steps
-    run until no graph of the batch gains a vertex.
-    """
-    while True:
-        x = graphs & spread[seen]
-        x |= x >> np.uint64(32)
-        x |= x >> np.uint64(16)
-        x |= x >> np.uint64(8)
-        grown = (x.astype(np.uint8) & np.uint8(allowed)) | seen
-        if np.array_equal(grown, seen):
-            return seen
-        seen = grown
-
-
 def _k_connected_rows(rows: np.ndarray, n: int, k: int) -> np.ndarray:
     """k-connectivity of each graph of a ``(B, 8)`` uint8 bit-row array
     (vertices ``0..n-1``, n <= 8, padding rows zero) whose minimum degree is
@@ -323,14 +306,12 @@ def _k_connected_rows(rows: np.ndarray, n: int, k: int) -> np.ndarray:
     (k-1)-subset S, as in ``is_k_connected_small``.  At k = 1 this is
     connectivity, for any graph."""
     graphs = rows.view(np.uint64).ravel()
-    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1
-    spread = (bits * 0xFF).astype(np.uint8).view(np.uint64).ravel()
     full = (1 << n) - 1
     ok = np.ones(len(graphs), dtype=bool)
     for sub in itertools.combinations(range(n), k - 1):
         allowed = full & ~sum(1 << v for v in sub)
         start = np.full(len(graphs), allowed & -allowed, dtype=np.uint8)
-        ok &= _reach_within(graphs, spread, start, allowed) == allowed
+        ok &= _reach_within(graphs, start, allowed) == allowed
     return ok
 
 
@@ -346,8 +327,7 @@ def _lemma23_chunk(task: tuple) -> dict:
     not k-connected must be a member of the extremal construction.
     """
     n, k, delta, size, lo, hi = task
-    pairs = list(itertools.combinations(range(n), 2))
-    npairs = len(pairs)
+    npairs = n * (n - 1) // 2
     m = npairs - size
     rhs = npairs - (delta - k + 3) * (n - delta - 2)
     count = hi - lo
@@ -356,17 +336,13 @@ def _lemma23_chunk(task: tuple) -> dict:
     if not m > rhs:
         part["skipped"] = count
         return part
-    pair_rows = np.zeros((npairs, 8), dtype=np.uint8)
-    for e, (i, j) in enumerate(pairs):
-        pair_rows[e, i], pair_rows[e, j] = 1 << j, 1 << i
-    pair_bits = pair_rows.view(np.uint64).ravel()  # byte v: the pair's bits in row v
+    pair_bits = _pair_words(n)
     complement = pair_bits[_unrank_combinations(npairs, size, lo, hi)]
     graphs = np.bitwise_xor.reduce(complement, axis=1) ^ np.bitwise_xor.reduce(pair_bits)
     rows = graphs.view(np.uint8).reshape(count, 8)
-    popcount = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
     # within the budget a disconnected graph already fails the degree filter
     # (it misses >= (delta+1)(n-delta-1) edges); connectivity is checked anyway
-    keep = (popcount[rows[:, :n]].min(axis=1) >= delta) & _k_connected_rows(rows, n, 1)
+    keep = (_POPCOUNT[rows[:, :n]].min(axis=1) >= delta) & _k_connected_rows(rows, n, 1)
     kept = np.flatnonzero(keep)
     part["skipped"] = count - len(kept)
     kernel_ok = _k_connected_rows(rows[kept], n, k)

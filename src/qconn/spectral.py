@@ -1,14 +1,24 @@
 """Signless Laplacian spectral radius with certified two-sided bounds.
 
-The Q-index q(G) is the largest eigenvalue of Q(G) = D(G) + A(G).  On a
-connected graph Q is entrywise nonnegative and irreducible, so for any
-positive vector v the Collatz-Wielandt quotients
+The Q-index q(G) is the largest eigenvalue of Q(G) = D(G) + A(G).  Q is
+entrywise nonnegative, so for any positive vector v the Collatz-Wielandt
+quotients
 
     min_i (Qv)_i / v_i   <=   q(G)   <=   max_i (Qv)_i / v_i
 
 bracket q(G) rigorously.  Power iteration tightens the bracket; the
 estimate keeps the running best bounds, and threshold tests compare
 against them so a near-tie is never decided by floating-point noise.
+
+On a connected graph of order below ``_SMALL_N`` the deciders first settle
+the test exactly.  Q and every positive integer vector v have integer
+entries, so with T = num/den (``threshold.as_integer_ratio()``) comparing
+(Qv)_i * den with num * v_i at every i proves q > T, q >= T, q <= T or
+q < T without rounding.  They try v0 = d + 1 and then v1 = Q v0, the first
+two iterates of the power iteration, and run the float iteration only if
+neither settles the test.  The float bracket reported with an exact
+decision holds the extreme quotients of the deciding vector, each rounded
+one ulp outward (``math.nextafter``) so that it contains q.
 
 The dense oracle is LAPACK's symmetric eigensolver (``np.linalg.eigvalsh``)
 on the explicit D + A matrix; it shares no code with the iterative path
@@ -24,7 +34,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import Graph, components
+from .graphs import Graph, _bits, components
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
@@ -271,6 +281,78 @@ def adjacency_spectral_radius(
     return _spectral_radius(g, tolerance, max_iterations, diag_degree=False, shift=1.0)
 
 
+def _settled(lo, up, threshold, strict: bool) -> Optional[bool]:
+    """What ``lo <= q <= up`` proves about ``q > threshold`` (``strict``)
+    or ``q >= threshold``: True, False, or None when it proves neither."""
+    if lo > threshold or (lo == threshold and not strict):
+        return True
+    if up < threshold or (up == threshold and strict):
+        return False
+    return None
+
+
+def _decide_exact(g: Graph, threshold, strict: bool, tolerance: float):
+    """Exact Collatz-Wielandt test of ``q(G) > threshold`` (``strict``) or
+    ``q(G) >= threshold`` on a connected graph, with v0 = d + 1 and then
+    v1 = Q v0.  Returns the decision and its estimate, or None when
+    neither vector settles the test.
+
+    With num/den = threshold, e_i = (Qv)_i * den - num * v_i has the sign
+    of (Qv)_i / v_i - threshold, so min_i e_i and max_i e_i compared with 0
+    settle exactly what the extreme quotients compared with the threshold
+    would.  ``iterations`` counts the integer steps.
+    """
+    # numpy integers lack as_integer_ratio; Fraction takes any real type
+    exact = threshold if isinstance(threshold, float) else Fraction(threshold)
+    num, den = exact.as_integer_ratio()
+    degs = g.degrees()
+    nbrs = [_bits(row) for row in g.rows]
+    v = [d + 1 for d in degs]
+    for step in (1, 2):
+        w = []
+        for d, x, ns in zip(degs, v, nbrs):
+            y = d * x
+            for j in ns:
+                y += v[j]
+            w.append(y)
+        excess = [y * den - num * x for y, x in zip(w, v)]
+        decision = _settled(min(excess), max(excess), 0, strict)
+        if decision is None:
+            v = w
+            continue
+        quot = [y / x for y, x in zip(w, v)]  # correctly rounded
+        lower = math.nextafter(min(quot), -math.inf)
+        upper = math.nextafter(max(quot), math.inf)
+        vector = np.array(v, dtype=np.float64)
+        vector /= math.sqrt(vector.dot(vector))
+        return decision, SpectralEstimate(lower, upper, vector, step,
+                                          upper - lower <= tolerance, tolerance)
+    return None
+
+
+def _decide(g: Graph, threshold, strict: bool, tolerance: float,
+            max_iterations: int) -> Tuple[Optional[bool], SpectralEstimate]:
+    """One attempt at ``q(G) > threshold`` (``strict``) or ``q(G) >= threshold``:
+    the exact test on a small connected graph, else (or if it does not
+    settle) the float iteration, whose count then includes the two integer
+    steps."""
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold!r}")
+    steps = 0
+    if 0 < g.n < _SMALL_N and len(components(g)) == 1:
+        settled = _decide_exact(g, threshold, strict, tolerance)
+        if settled is not None:
+            return settled
+        steps = 2
+
+    def stop(lo, up):
+        return _settled(lo, up, threshold, strict) is not None
+
+    est = _spectral_radius(g, tolerance, max_iterations, diag_degree=True, shift=0.0, stop=stop)
+    est.iterations += steps
+    return _settled(est.lower, est.upper, threshold, strict), est
+
+
 def decide_q_ge(
     g: Graph,
     threshold: float,
@@ -280,24 +362,20 @@ def decide_q_ge(
 ) -> Tuple[Optional[bool], SpectralEstimate]:
     """Certified test of ``q(G) >= threshold``.
 
-    True when the certified lower bound reaches the threshold, False when
-    the certified upper bound falls below it, None when the bracket still
-    straddles after budget doubling up to ``escalation_cap`` iterations.
+    On a connected graph with n < ``_SMALL_N`` the integer vectors d + 1
+    and Q(d + 1) usually settle the test exactly (module docstring).
+    Otherwise the float iteration decides: True when the certified lower
+    bound reaches the threshold, False when the certified upper bound falls
+    below it, None when the bracket still straddles after budget doubling
+    up to ``escalation_cap`` iterations.  A NaN or infinite threshold
+    raises ``ValueError``.
     """
-
-    def stop(lo, up):
-        return lo >= threshold or up < threshold
-
     budget = max_iterations
     tol = tolerance
     while True:
-        est = _spectral_radius(g, tol, budget, diag_degree=True, shift=0.0, stop=stop)
-        if est.lower >= threshold:
-            return True, est
-        if est.upper < threshold:
-            return False, est
-        if budget >= escalation_cap:
-            return None, est
+        decision, est = _decide(g, threshold, False, tol, budget)
+        if decision is not None or budget >= escalation_cap:
+            return decision, est
         budget = min(2 * budget, escalation_cap)
         tol = tol / 10.0
 
@@ -308,17 +386,17 @@ def decide_q_gt(
     tolerance: float = DEFAULT_TOL,
     max_iterations: int = DEFAULT_MAX_ITER,
 ) -> Tuple[Optional[bool], SpectralEstimate]:
-    """Certified test of ``q(G) > threshold`` (used by the edge-bound sweep)."""
+    """Certified test of ``q(G) > threshold`` (used by the edge-bound sweep).
 
-    def stop(lo, up):
-        return lo > threshold or up <= threshold
-
-    est = _spectral_radius(g, tolerance, max_iterations, diag_degree=True, shift=0.0, stop=stop)
-    if est.lower > threshold:
-        return True, est
-    if est.upper <= threshold:
-        return False, est
-    return None, est
+    On a connected graph with n < ``_SMALL_N`` the integer vectors d + 1
+    and Q(d + 1) usually settle the test exactly (module docstring), so an
+    exact tie such as q(K_n) = 2n - 2 comes back False.  Otherwise the
+    float iteration decides: True when the certified lower bound exceeds
+    the threshold, False when the certified upper bound does not, None
+    when ``max_iterations`` leave the bracket straddling.  A NaN or
+    infinite threshold raises ``ValueError``.
+    """
+    return _decide(g, threshold, True, tolerance, max_iterations)
 
 
 # -- dense reference oracle -------------------------------------------------

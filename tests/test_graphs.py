@@ -266,6 +266,64 @@ def test_enumeration_guards():
         list(iter_labeled_graphs(8))
 
 
+@pytest.mark.parametrize("n,mask_range", [
+    (-1, None), (3, (6, 10)), (3, (-1, 2)), (3, (5, 4)), (2, (0, 3)),
+    (7, (0, (1 << 21) + 1)),
+])
+def test_enumeration_rejects_bad_arguments_before_yielding(n, mask_range):
+    graphs = iter_labeled_graphs(n, mask_range=mask_range)
+    with pytest.raises(ValueError):
+        next(graphs)
+
+
+def scalar_walk(n, lo, hi):
+    """The bit rows of masks lo..hi-1, walked one mask at a time: the
+    enumerator before it built blocks in numpy."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(lo, hi):
+        rows = [0] * n
+        rest = mask
+        while rest:
+            b = rest & -rest
+            i, j = pairs[b.bit_length() - 1]
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+            rest ^= b
+        yield tuple(rows)
+
+
+def assert_matches_scalar_walk(n, lo, hi):
+    got = list(iter_labeled_graphs(n, mask_range=(lo, hi)))
+    assert [g.rows for g in got] == list(scalar_walk(n, lo, hi)), (n, lo, hi)
+    for g in got:
+        fresh = Graph.from_rows(g.rows)
+        assert g.n == n and g.rows == fresh.rows
+        assert g._degs == fresh.degrees()
+        # only a connected graph arrives with its component
+        assert g._comps == (components(fresh) if is_connected(fresh) else None)
+        assert is_connected(g) == is_connected(fresh)
+        assert components(g) == components(fresh)
+
+
+def test_block_enumerator_matches_scalar_walk_small_orders():
+    for n in range(6):
+        total = count_labeled_graphs(n)
+        assert_matches_scalar_walk(n, 0, total)
+        assert [g.rows for g in iter_labeled_graphs(n)] == list(scalar_walk(n, 0, total))
+
+
+@pytest.mark.parametrize("n,lo,hi", [
+    (6, 1000, 5000),      # mid-block to mid-block across one block edge
+    (6, 2047, 2049),      # the two masks either side of a block edge
+    (6, 30000, 1 << 15),  # the last, partial block
+    (7, 4095, 10241),     # across three block edges
+    (7, (1 << 21) - 3000, 1 << 21),
+    (7, 12345, 12345),    # empty range
+])
+def test_block_enumerator_matches_scalar_walk_on_slices(n, lo, hi):
+    assert_matches_scalar_walk(n, lo, hi)
+
+
 def test_enumeration_mask_range_partition():
     total = count_labeled_graphs(4)
     first = list(iter_labeled_graphs(4, mask_range=(0, 20)))

@@ -21,6 +21,7 @@ from qconn import (
     disjoint_union,
     empty,
     is_connected,
+    iter_labeled_graphs,
     local_connectivity,
     parse_graph6,
     q_index,
@@ -28,6 +29,7 @@ from qconn import (
     write_graph6,
 )
 from qconn.connectivity import _FlowNet
+from qconn.graphs import count_labeled_graphs
 from qconn.harness import random_graph
 
 from conftest import random_graph_mask
@@ -101,14 +103,30 @@ def drawn_graph(n: int, seed: int, p: float, shape: str) -> Graph:
     return g
 
 
+def enumerated_graph(n: int, seed: int) -> Graph:
+    """A graph from the labeled enumerator, which arrives with its degrees
+    (and, when connected, its component) already cached."""
+    mask = seed % count_labeled_graphs(n)
+    (g,) = iter_labeled_graphs(n, mask_range=(mask, mask + 1))
+    return g
+
+
 @PROPERTY
-@given(st.integers(0, 40), seeds, densities, st.sampled_from(["rows", "graph6", "pieces"]))
+@given(st.integers(0, 40), seeds, densities,
+       st.sampled_from(["rows", "graph6", "pieces", "enumerated"]))
 def test_cached_facts_match_edges_in_every_call_order(n, seed, p, shape):
-    g = drawn_graph(n, seed, p, shape)
+    if shape == "enumerated":
+        n %= 8
+        g = enumerated_graph(n, seed)
+    else:
+        g = drawn_graph(n, seed, p, shape)
     want = fresh_facts(g)
     for order in itertools.permutations(FACTS):
-        h = Graph.from_rows(g.rows)
-        assert_no_cached_facts(h)
+        if shape == "enumerated":
+            h = enumerated_graph(n, seed)
+        else:
+            h = Graph.from_rows(g.rows)
+            assert_no_cached_facts(h)
         for name in order:
             assert FACTS[name](h) == want[name], (order, name)
         for name in FACTS:  # and again, now from the caches

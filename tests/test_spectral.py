@@ -17,6 +17,8 @@ from qconn import (
     disjoint_union,
     empty,
     enumerate_Eprime_orbits,
+    is_connected,
+    iter_labeled_graphs,
     join,
     make_member,
     path,
@@ -28,6 +30,7 @@ from qconn import (
     rayleigh_q,
     rayleigh_q_exact,
     verify_eigen_identity,
+    write_graph6,
 )
 
 from conftest import petersen, random_graph_mask
@@ -304,6 +307,82 @@ def test_decide_q_gt():
     assert got is False
     got, _ = decide_q_gt(g, 2.9)
     assert got is True
+
+
+def star(n: int) -> Graph:
+    return join(complete(1), empty(n - 1))
+
+
+# (graph, its integer Q-index)
+EXACT_Q = (
+    [(f"K{n}", complete(n), 2 * n - 2) for n in range(2, 9)]
+    + [(f"star{n}", star(n), n) for n in range(3, 9)]
+    + [(f"C{n}", cycle(n), 4) for n in range(3, 10)]
+    + [("petersen", petersen(), 6), ("P3", path(3), 3)]
+)
+
+
+@pytest.mark.parametrize("g,t", [case[1:] for case in EXACT_Q], ids=[case[0] for case in EXACT_Q])
+def test_exact_ties_at_integer_thresholds(g, t):
+    # q = t exactly: no float iteration can separate these, the integer test must
+    for decide, threshold, want in (
+        (decide_q_gt, t, False),
+        (decide_q_ge, t, True),
+        (decide_q_gt, math.nextafter(t, -math.inf), True),
+        (decide_q_ge, math.nextafter(t, math.inf), False),
+    ):
+        got, est = decide(g, threshold)
+        assert got is want, (decide.__name__, threshold)
+        assert est.iterations <= 2
+        assert est.lower < t < est.upper  # outward rounded around the exact quotients
+
+
+def test_star_needs_the_second_integer_vector():
+    # v0 = d + 1 gives quotients 4.5 (centre) and 3 (leaves) around q = 4;
+    # v1 = Q v0 is the Perron vector, so every quotient equals 4 exactly
+    got, est = decide_q_gt(star(4), 4)
+    assert got is False and est.iterations == 2
+    got, est = decide_q_ge(star(4), 4)
+    assert got is True and est.iterations == 2
+    assert est.vector == pytest.approx(np.array([3.0, 1.0, 1.0, 1.0]) / math.sqrt(12.0))
+
+
+def test_exact_decisions_agree_with_eigvalsh_on_every_small_connected_graph():
+    for n in range(1, 7):
+        for g in iter_labeled_graphs(n):
+            if not is_connected(g):
+                continue
+            q = q_index_dense_oracle(g)
+            # one threshold well below q, one well above, and the edge bound
+            # as the lemma22 sweep tests it, which d + 1 or Q(d + 1) must settle
+            cases = [(math.floor(q) - 1, False), (math.ceil(q) + 1, False)]
+            if n > 1:
+                cases.append((q_upper_bound_edges(g) + 1e-9, True))
+            for t, exact in cases:
+                if abs(q - t) <= 1e-9:
+                    continue
+                for decide, want in ((decide_q_gt, q > t), (decide_q_ge, q >= t)):
+                    got, est = decide(g, t)
+                    assert got is want, (write_graph6(g), t, decide.__name__)
+                    assert est.lower <= q + 1e-12 and q - 1e-12 <= est.upper
+                    assert est.iterations <= 2 or not exact, (write_graph6(g), t)
+
+
+def test_exact_test_takes_any_real_threshold_type():
+    # the parent compared floats with any real threshold; numpy integers
+    # have no as_integer_ratio, and a Fraction must not be rounded to float
+    assert decide_q_gt(complete(4), np.int64(6))[0] is False
+    assert decide_q_ge(complete(4), np.float64(6.0))[0] is True
+    assert decide_q_gt(path(3), Fraction(3))[0] is False
+    assert decide_q_ge(path(3), Fraction(3 * 10**20 + 1, 10**20))[0] is False
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_deciders_reject_non_finite_thresholds(bad):
+    for g in (path(3), complete(40), disjoint_union(cycle(4), empty(2))):
+        for decide in (decide_q_ge, decide_q_gt):
+            with pytest.raises(ValueError, match="finite"):
+                decide(g, bad)
 
 
 # -- adjacency spectral radius --------------------------------------------------
