@@ -16,7 +16,7 @@ from qconn import (
     q_index,
     q_index_dense_oracle,
     q_upper_bound_edges,
-    rayleigh_q,
+    rayleigh_q_exact,
     verify_eigen_identity,
 )
 
@@ -38,8 +38,8 @@ print("\n== the clique-plus-isolated-vertices benchmark ==")
 g = disjoint_union(complete(101), empty(2))
 est = q_index(g, 1e-10)
 print(f"K_101 u 2 isolated vertices: q = {est.value:.9f} (converged={est.converged})")
-print("Rayleigh quotient of the clique indicator:",
-      rayleigh_q(g, [1.0] * 101 + [0.0, 0.0]))
+print("exact Rayleigh quotient of the clique indicator (a lower bound for q):",
+      rayleigh_q_exact(g, [1] * 101 + [0, 0]))
 
 print("\n== edge-count upper bound 2m/(n-1) + n - 2 ==")
 for g, name in [(complete(6), "K_6"), (cycle(7), "C_7"), (star, "star_8")]:

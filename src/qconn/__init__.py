@@ -4,7 +4,8 @@ Library layout:
 
 - ``graphs``: bit-row graphs, graph6 codec, constructors, labeled enumeration
   (n <= 7)
-- ``spectral``: certified Q-index / adjacency radius, eigvalsh dense oracle
+- ``spectral``: certified Q-index brackets, exact threshold deciders,
+  eigvalsh dense oracle
 - ``connectivity``: exact kappa (max-flow and brute force), degree and
   density sufficient conditions
 - ``extremal``: the exceptional families A(n,k,delta) - E' and membership
@@ -33,15 +34,11 @@ from .graphs import (
 )
 from .spectral import (
     SpectralEstimate,
-    adjacency_dense_oracle,
-    adjacency_spectral_radius,
     decide_q_ge,
     decide_q_gt,
-    q_apply,
     q_index,
     q_index_dense_oracle,
     q_upper_bound_edges,
-    rayleigh_q,
     rayleigh_q_exact,
     verify_eigen_identity,
 )

@@ -40,7 +40,7 @@ from .extremal import (
     q_threshold,
     threshold_F,
 )
-from .graphs import Graph, degree_profile
+from .graphs import Graph, _bits, degree_profile
 from .spectral import (
     SpectralEstimate,
     decide_q_ge,
@@ -429,11 +429,8 @@ def check_orderings(
                     continue
                 only_i = g.rows[i] & ~(g.rows[j] | (1 << j))
                 s = 0.0
-                rest = only_i
-                while rest:
-                    b = rest & -rest
-                    s += x[b.bit_length() - 1]
-                    rest ^= b
+                for k in _bits(only_i):
+                    s += x[k]
                 lhs = (q - degs[i] + 1) * (x[i] - x[j])
                 rhs = (degs[i] - degs[j]) * x[j] + s
                 resid = max(resid, abs(lhs - rhs))

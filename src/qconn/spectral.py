@@ -9,14 +9,18 @@ quotients
 bracket q(G) rigorously.  Power iteration tightens the bracket; the
 estimate keeps the running best bounds, and threshold tests compare
 against them so a near-tie is never decided by floating-point noise.
+Q is the only operator here: the paper's condition is on q(G) alone.
 
-On a connected graph of order below ``_SMALL_N`` the deciders first settle
-the test exactly.  Q and every positive integer vector v have integer
+``decide_q_ge`` and ``decide_q_gt`` share one decision path, ``_decide``.
+On a connected graph of order below ``_SMALL_N`` it first settles the test
+exactly.  Q and every positive integer vector v have integer
 entries, so with T = num/den (``threshold.as_integer_ratio()``) comparing
 (Qv)_i * den with num * v_i at every i proves q > T, q >= T, q <= T or
-q < T without rounding.  They try v0 = d + 1 and then v1 = Q v0, the first
-two iterates of the power iteration, and run the float iteration only if
-neither settles the test.  The float bracket reported with an exact
+q < T without rounding.  It tries v0 = d + 1 and then v1 = Q v0, the first
+two iterates of the power iteration, and runs the float iteration only if
+neither settles the test; a float bracket that still straddles T is
+escalated (more iterations, a finer tolerance) before the test is left
+undecided.  The float bracket reported with an exact
 decision holds the extreme quotients of the deciding vector, each rounded
 one ulp outward (``math.nextafter``) so that it contains q.
 
@@ -39,6 +43,8 @@ from .graphs import Graph, _bits, components
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
 _SMALL_N = 32  # below this, plain-Python iteration beats numpy call overhead
+_ESCALATION_CAP = 1_000_000  # deciders double the iteration budget up to this
+_ESCALATION_TOL_STEP = 10.0  # and divide the tolerance by this each round
 
 
 @dataclass
@@ -71,35 +77,13 @@ class SpectralEstimate:
         }
 
 
-# -- operator application -------------------------------------------------
-
-
-def q_apply(g: Graph, v: Sequence[float]) -> np.ndarray:
-    """(D + A) v without materializing Q: result_i = d(i) v_i + sum_{j~i} v_j."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (g.n,):
-        raise ValueError(f"vector length {v.shape} does not match n={g.n}")
-    return g.degree_array() * v + g.adjacency_bool() @ v
-
-
-def rayleigh_q(g: Graph, v: Sequence[float]) -> float:
-    """Rayleigh quotient of Q at v, computed from the edge-sum identity
-    <Qv,v> = sum_{i~j} (v_i + v_j)^2.  Always a lower bound for q(G)."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (g.n,):
-        raise ValueError(f"vector length {v.shape} does not match n={g.n}")
-    denom = float(v @ v)
-    if denom == 0.0:
-        raise ValueError("zero vector")
-    total = 0.0
-    for i, j in g.edges():
-        total += (v[i] + v[j]) ** 2
-    return total / denom
+# -- exact Rayleigh quotient ---------------------------------------------
 
 
 def rayleigh_q_exact(g: Graph, v: Sequence[int]) -> Fraction:
-    """Exact rational Rayleigh quotient for integer vectors; used as a
-    certified lower-bound witness in near-threshold decisions."""
+    """Exact rational Rayleigh quotient <Qv,v>/<v,v> for an integer vector,
+    from the edge-sum identity <Qv,v> = sum_{i~j} (v_i + v_j)^2.  Always a
+    lower bound for q(G); used as a certified witness near a threshold."""
     if len(v) != g.n:
         raise ValueError("vector length mismatch")
     denom = sum(x * x for x in v)
@@ -112,27 +96,15 @@ def rayleigh_q_exact(g: Graph, v: Sequence[int]) -> Fraction:
 # -- certified power iteration --------------------------------------------
 
 
-def _iterate_small(rows, degs, idx, tol, max_iter, diag_degree, shift, stop):
-    """Collatz-Wielandt iteration on one component, plain-Python path.
+def _iterate_small(rows, degs, idx, tol, max_iter, stop):
+    """Collatz-Wielandt iteration of Q on one component, plain-Python path.
 
-    ``idx`` holds the component's vertex ids.  With ``diag_degree`` the
-    operator is Q = D + A, otherwise A alone; ``shift`` > 0 iterates on
-    M + shift*I (used for the adjacency operator, whose bipartite spectra
-    make unshifted quotients oscillate).  Returns (lo, up, vec, iters,
+    ``idx`` holds the component's vertex ids.  Returns (lo, up, vec, iters,
     converged) with vec normalized to unit length.
     """
     pos = {v: i for i, v in enumerate(idx)}
-    nbrs = []
-    for v in idx:
-        rest = rows[v]
-        cur = []
-        while rest:
-            b = rest & -rest
-            cur.append(pos[b.bit_length() - 1])
-            rest ^= b
-        nbrs.append(cur)
+    nbrs = [[pos[j] for j in _bits(rows[v])] for v in idx]
     d = [degs[v] for v in idx]
-    diag = [(x + shift if diag_degree else shift) for x in d]
     v = [x + 1.0 for x in d]
     nrm = math.sqrt(sum(x * x for x in v))
     v = [x / nrm for x in v]
@@ -144,7 +116,7 @@ def _iterate_small(rows, degs, idx, tol, max_iter, diag_degree, shift, stop):
         lo = math.inf
         up = -math.inf
         for i, ns in enumerate(nbrs):
-            s = diag[i] * v[i]
+            s = d[i] * v[i]
             for j in ns:
                 s += v[j]
             w.append(s)
@@ -160,13 +132,13 @@ def _iterate_small(rows, degs, idx, tol, max_iter, diag_degree, shift, stop):
         nrm = math.sqrt(sum(x * x for x in w))
         v = [x / nrm for x in w]
         if best_up - best_lo <= tol:
-            return min(best_lo, best_up) - shift, best_up - shift, v, it, True
-        if stop is not None and stop(best_lo - shift, best_up - shift):
-            return min(best_lo, best_up) - shift, best_up - shift, v, it, False
-    return min(best_lo, best_up) - shift, best_up - shift, v, it, False
+            return min(best_lo, best_up), best_up, v, it, True
+        if stop is not None and stop(best_lo, best_up):
+            return min(best_lo, best_up), best_up, v, it, False
+    return min(best_lo, best_up), best_up, v, it, False
 
 
-def _iterate_np(adj, d, tol, max_iter, diag_degree, shift, stop):
+def _iterate_np(adj, d, tol, max_iter, stop):
     """Same iteration, numpy path, on a dense boolean component adjacency.
 
     The float64 adjacency is built once per call; each step then runs in
@@ -178,7 +150,6 @@ def _iterate_np(adj, d, tol, max_iter, diag_degree, shift, stop):
     the brackets, and so the reported bytes, by an ulp.
     """
     a = adj.astype(np.float64)
-    diag = (d + shift) if diag_degree else np.full_like(d, shift)
     v = d + 1.0
     v /= math.sqrt(v.dot(v))
     w = np.empty_like(v)
@@ -191,7 +162,7 @@ def _iterate_np(adj, d, tol, max_iter, diag_degree, shift, stop):
     while it < max_iter:
         it += 1
         matvec(v, out=w)
-        multiply(diag, v, out=quot)
+        multiply(d, v, out=quot)
         add(w, quot, out=w)
         divide(w, v, out=quot)
         lo = float(least(quot))
@@ -202,39 +173,30 @@ def _iterate_np(adj, d, tol, max_iter, diag_degree, shift, stop):
             best_up = up
         divide(w, sqrt(dot(w)), out=v)
         if best_up - best_lo <= tol:
-            return min(best_lo, best_up) - shift, best_up - shift, v, it, True
-        if stop is not None and stop(best_lo - shift, best_up - shift):
-            return min(best_lo, best_up) - shift, best_up - shift, v, it, False
-    return min(best_lo, best_up) - shift, best_up - shift, v, it, False
+            return min(best_lo, best_up), best_up, v, it, True
+        if stop is not None and stop(best_lo, best_up):
+            return min(best_lo, best_up), best_up, v, it, False
+    return min(best_lo, best_up), best_up, v, it, False
 
 
-def _component_estimate(g, comp, tol, max_iter, diag_degree, shift, stop=None):
+def _component_estimate(g, comp, tol, max_iter, stop=None):
     """Certified bounds for one connected component (vertex id list)."""
     if len(comp) == 1:
-        # isolated vertex: both Q and A contribute eigenvalue 0
-        return 0.0, 0.0, [1.0], 0, True
+        return 0.0, 0.0, [1.0], 0, True  # isolated vertex: eigenvalue 0
     if len(comp) < _SMALL_N and g.n < _SMALL_N:
-        degs = g.degrees()
-        lo, up, vec, it, conv = _iterate_small(
-            g.rows, degs, comp, tol, max_iter, diag_degree, shift, stop
-        )
-        return lo, up, vec, it, conv
+        return _iterate_small(g.rows, g.degrees(), comp, tol, max_iter, stop)
     sub = g if len(comp) == g.n else g.subgraph(comp)
-    return _iterate_np(
-        sub.adjacency_bool(), sub.degree_array(), tol, max_iter, diag_degree, shift, stop
-    )
+    return _iterate_np(sub.adjacency_bool(), sub.degree_array(), tol, max_iter, stop)
 
 
-def _spectral_radius(g, tol, max_iter, diag_degree, shift, stop=None) -> SpectralEstimate:
+def _spectral_radius(g, tol, max_iter, stop=None) -> SpectralEstimate:
     if g.n == 0:
         return SpectralEstimate(0.0, 0.0, np.zeros(0), 0, True, tol)
     comps = components(g)
     results = []
     total_it = 0
     for comp in comps:
-        lo, up, vec, it, conv = _component_estimate(
-            g, comp, tol, max_iter, diag_degree, shift, stop
-        )
+        lo, up, vec, it, conv = _component_estimate(g, comp, tol, max_iter, stop)
         total_it += it
         results.append((lo, up, vec, conv, comp))
     # spectrum of a block-diagonal operator: take the maximum over blocks
@@ -265,20 +227,7 @@ def q_index(g: Graph, tolerance: float = DEFAULT_TOL, max_iterations: int = DEFA
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    return _spectral_radius(g, tolerance, max_iterations, diag_degree=True, shift=0.0)
-
-
-def adjacency_spectral_radius(
-    g: Graph, tolerance: float = DEFAULT_TOL, max_iterations: int = DEFAULT_MAX_ITER
-) -> SpectralEstimate:
-    """Certified bracket for the adjacency spectral radius lambda(G).
-
-    Iterates on A + I so that bipartite components (where -lambda is also
-    an eigenvalue) still give converging quotients.
-    """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    return _spectral_radius(g, tolerance, max_iterations, diag_degree=False, shift=1.0)
+    return _spectral_radius(g, tolerance, max_iterations)
 
 
 def _settled(lo, up, threshold, strict: bool) -> Optional[bool]:
@@ -330,11 +279,14 @@ def _decide_exact(g: Graph, threshold, strict: bool, tolerance: float):
     return None
 
 
-def _decide(g: Graph, threshold, strict: bool, tolerance: float,
-            max_iterations: int) -> Tuple[Optional[bool], SpectralEstimate]:
-    """One attempt at ``q(G) > threshold`` (``strict``) or ``q(G) >= threshold``:
-    the exact test on a small connected graph, else (or if it does not
-    settle) the float iteration, whose count then includes the two integer
+def _decide(g: Graph, threshold, strict: bool,
+            tolerance: float) -> Tuple[Optional[bool], SpectralEstimate]:
+    """Certified test of ``q(G) > threshold`` (``strict``) or
+    ``q(G) >= threshold``: the exact test on a small connected graph, else
+    (or if it does not settle) the float iteration.  While its bracket
+    straddles, the iteration reruns with the budget doubled up to
+    ``_ESCALATION_CAP`` and the tolerance divided by ``_ESCALATION_TOL_STEP``
+    each round; the reported count is the last round's plus the two integer
     steps."""
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
@@ -348,55 +300,42 @@ def _decide(g: Graph, threshold, strict: bool, tolerance: float,
     def stop(lo, up):
         return _settled(lo, up, threshold, strict) is not None
 
-    est = _spectral_radius(g, tolerance, max_iterations, diag_degree=True, shift=0.0, stop=stop)
-    est.iterations += steps
-    return _settled(est.lower, est.upper, threshold, strict), est
+    budget, tol = DEFAULT_MAX_ITER, tolerance
+    while True:
+        est = _spectral_radius(g, tol, budget, stop)
+        decision = _settled(est.lower, est.upper, threshold, strict)
+        if decision is not None or budget >= _ESCALATION_CAP:
+            est.iterations += steps
+            return decision, est
+        budget = min(2 * budget, _ESCALATION_CAP)
+        tol = tol / _ESCALATION_TOL_STEP
 
 
-def decide_q_ge(
-    g: Graph,
-    threshold: float,
-    tolerance: float = DEFAULT_TOL,
-    max_iterations: int = DEFAULT_MAX_ITER,
-    escalation_cap: int = 1_000_000,
-) -> Tuple[Optional[bool], SpectralEstimate]:
-    """Certified test of ``q(G) >= threshold``.
+def decide_q_ge(g: Graph, threshold: float,
+                tolerance: float = DEFAULT_TOL) -> Tuple[Optional[bool], SpectralEstimate]:
+    """Certified test of ``q(G) >= threshold`` (used by ``certify``).
 
     On a connected graph with n < ``_SMALL_N`` the integer vectors d + 1
     and Q(d + 1) usually settle the test exactly (module docstring).
     Otherwise the float iteration decides: True when the certified lower
     bound reaches the threshold, False when the certified upper bound falls
-    below it, None when the bracket still straddles after budget doubling
-    up to ``escalation_cap`` iterations.  A NaN or infinite threshold
-    raises ``ValueError``.
+    below it, None when the bracket still straddles after the budget has
+    doubled up to ``_ESCALATION_CAP`` iterations.  A NaN or infinite
+    threshold raises ``ValueError``.
     """
-    budget = max_iterations
-    tol = tolerance
-    while True:
-        decision, est = _decide(g, threshold, False, tol, budget)
-        if decision is not None or budget >= escalation_cap:
-            return decision, est
-        budget = min(2 * budget, escalation_cap)
-        tol = tol / 10.0
+    return _decide(g, threshold, False, tolerance)
 
 
-def decide_q_gt(
-    g: Graph,
-    threshold: float,
-    tolerance: float = DEFAULT_TOL,
-    max_iterations: int = DEFAULT_MAX_ITER,
-) -> Tuple[Optional[bool], SpectralEstimate]:
+def decide_q_gt(g: Graph, threshold: float,
+                tolerance: float = DEFAULT_TOL) -> Tuple[Optional[bool], SpectralEstimate]:
     """Certified test of ``q(G) > threshold`` (used by the edge-bound sweep).
 
-    On a connected graph with n < ``_SMALL_N`` the integer vectors d + 1
-    and Q(d + 1) usually settle the test exactly (module docstring), so an
-    exact tie such as q(K_n) = 2n - 2 comes back False.  Otherwise the
-    float iteration decides: True when the certified lower bound exceeds
-    the threshold, False when the certified upper bound does not, None
-    when ``max_iterations`` leave the bracket straddling.  A NaN or
-    infinite threshold raises ``ValueError``.
+    Decided as ``decide_q_ge`` is, so an exact tie such as q(K_n) = 2n - 2
+    comes back False: True when the certified lower bound exceeds the
+    threshold, False when the certified upper bound does not, None when the
+    bracket still straddles at ``_ESCALATION_CAP`` iterations.
     """
-    return _decide(g, threshold, True, tolerance, max_iterations)
+    return _decide(g, threshold, True, tolerance)
 
 
 # -- dense reference oracle -------------------------------------------------
@@ -413,15 +352,6 @@ def q_index_dense_oracle(g: Graph) -> float:
     mat = g.adjacency_bool().astype(np.float64)
     mat[np.diag_indices(g.n)] = g.degree_array()
     return float(np.linalg.eigvalsh(mat)[-1])
-
-
-def adjacency_dense_oracle(g: Graph) -> float:
-    """Largest eigenvalue of the explicit adjacency matrix (n <= 400)."""
-    if g.n > ORACLE_MAX_N:
-        raise ValueError(f"dense oracle capped at n={ORACLE_MAX_N}")
-    if g.n == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(g.adjacency_bool().astype(np.float64))[-1])
 
 
 # -- eigen-identities and the edge bound ------------------------------------

@@ -7,8 +7,6 @@ import pytest
 from qconn import (
     ExtremalParams,
     Graph,
-    adjacency_dense_oracle,
-    adjacency_spectral_radius,
     complete,
     components,
     cycle,
@@ -22,12 +20,10 @@ from qconn import (
     join,
     make_member,
     path,
-    q_apply,
     q_index,
     q_index_dense_oracle,
     q_threshold,
     q_upper_bound_edges,
-    rayleigh_q,
     rayleigh_q_exact,
     verify_eigen_identity,
     write_graph6,
@@ -40,48 +36,22 @@ def build_A_graph(n, k, d):
     return join(complete(k - 1), disjoint_union(complete(d - k + 2), complete(n - d - 1)))
 
 
-# -- operator application ----------------------------------------------------
-
-
-def test_q_apply_examples():
-    assert np.allclose(q_apply(complete(3), [1, 1, 1]), [4, 4, 4])
-    # hand expansion of the D+A rows of the 3-path
-    assert np.allclose(q_apply(path(3), [1, 0, 0]), [1, 1, 0])
-    assert np.allclose(q_apply(empty(3), [2, 5, -1]), [0, 0, 0])
-    with pytest.raises(ValueError):
-        q_apply(complete(3), [1, 1])
-
-
-def test_rayleigh_examples():
-    assert rayleigh_q(complete(2), [1, 1]) == pytest.approx(2.0)
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        g = random_graph_mask(int(rng.integers(1, 12)), rng)
-        ones = np.ones(g.n)
-        assert rayleigh_q(g, ones) == pytest.approx(4 * g.m / g.n)
-    # indicator of the clique in K_p u empty: quotient 2(p-1)
-    g = disjoint_union(complete(101), empty(2))
-    v = np.array([1.0] * 101 + [0.0] * 2)
-    assert rayleigh_q(g, v) == pytest.approx(200.0)
-    with pytest.raises(ValueError):
-        rayleigh_q(g, np.zeros(g.n))
-
-
-def test_rayleigh_matches_q_apply_identity(rng):
-    # the edge-sum identity <Qv,v> = sum over edges of (v_i+v_j)^2
-    for _ in range(100):
-        g = random_graph_mask(int(rng.integers(2, 14)), rng)
-        v = rng.normal(size=g.n)
-        if np.allclose(v, 0):
-            continue
-        direct = float(v @ q_apply(g, v)) / float(v @ v)
-        assert rayleigh_q(g, v) == pytest.approx(direct, abs=1e-10)
+# -- exact Rayleigh quotient ---------------------------------------------------
 
 
 def test_rayleigh_exact():
     g = disjoint_union(complete(101), empty(2))
     v = [1] * 101 + [0, 0]
-    assert rayleigh_q_exact(g, v) == Fraction(200)
+    assert rayleigh_q_exact(g, v) == Fraction(200)  # clique indicator: 2(p-1)
+    assert rayleigh_q_exact(complete(2), [1, 1]) == 2
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        g = random_graph_mask(int(rng.integers(1, 12)), rng)
+        assert rayleigh_q_exact(g, [1] * g.n) == Fraction(4 * g.m, g.n)
+    with pytest.raises(ValueError):
+        rayleigh_q_exact(g, [0] * g.n)
+    with pytest.raises(ValueError):
+        rayleigh_q_exact(g, [1] * (g.n + 1))
 
 
 # -- certified q-index --------------------------------------------------------
@@ -138,11 +108,10 @@ def test_trivial_graphs():
 # -- the numpy power step against its reference loop ---------------------------
 
 
-def reference_iterate_np(adj, d, tol, max_iter, diag_degree, shift, stop):
+def reference_iterate_np(adj, d, tol, max_iter, stop):
     """The numpy power step written plainly: ``np.linalg.norm`` and
     ``ndarray.min``/``max``.  A faster step must match it bit for bit."""
     a = adj.astype(np.float64)
-    diag = (d + shift) if diag_degree else np.full_like(d, shift)
     v = d + 1.0
     v /= np.linalg.norm(v)
     w = np.empty_like(v)
@@ -152,7 +121,7 @@ def reference_iterate_np(adj, d, tol, max_iter, diag_degree, shift, stop):
     while it < max_iter:
         it += 1
         np.matmul(a, v, out=w)
-        np.multiply(diag, v, out=quot)
+        np.multiply(d, v, out=quot)
         w += quot
         np.divide(w, v, out=quot)
         lo = float(quot.min())
@@ -163,10 +132,58 @@ def reference_iterate_np(adj, d, tol, max_iter, diag_degree, shift, stop):
             best_up = up
         np.divide(w, np.linalg.norm(w), out=v)
         if best_up - best_lo <= tol:
-            return min(best_lo, best_up) - shift, best_up - shift, v, it, True
-        if stop is not None and stop(best_lo - shift, best_up - shift):
-            return min(best_lo, best_up) - shift, best_up - shift, v, it, False
-    return min(best_lo, best_up) - shift, best_up - shift, v, it, False
+            return min(best_lo, best_up), best_up, v, it, True
+        if stop is not None and stop(best_lo, best_up):
+            return min(best_lo, best_up), best_up, v, it, False
+    return min(best_lo, best_up), best_up, v, it, False
+
+
+def reference_iterate_small(rows, degs, idx, tol, max_iter, stop):
+    """The plain-Python power step as it was first written: its own bit
+    walk and a float diagonal.  A simpler step must match it bit for bit."""
+    pos = {v: i for i, v in enumerate(idx)}
+    nbrs = []
+    for v in idx:
+        rest = rows[v]
+        cur = []
+        while rest:
+            b = rest & -rest
+            cur.append(pos[b.bit_length() - 1])
+            rest ^= b
+        nbrs.append(cur)
+    d = [degs[v] for v in idx]
+    diag = [float(x) for x in d]
+    v = [x + 1.0 for x in d]
+    nrm = math.sqrt(sum(x * x for x in v))
+    v = [x / nrm for x in v]
+    best_lo, best_up = 0.0, math.inf
+    it = 0
+    while it < max_iter:
+        it += 1
+        w = []
+        lo = math.inf
+        up = -math.inf
+        for i, ns in enumerate(nbrs):
+            s = diag[i] * v[i]
+            for j in ns:
+                s += v[j]
+            w.append(s)
+            quot = s / v[i]
+            if quot < lo:
+                lo = quot
+            if quot > up:
+                up = quot
+        if lo > best_lo:
+            best_lo = lo
+        if up < best_up:
+            best_up = up
+        nrm = math.sqrt(sum(x * x for x in w))
+        v = [x / nrm for x in w]
+        if best_up - best_lo <= tol:
+            return min(best_lo, best_up), best_up, v, it, True
+        if stop is not None and stop(best_lo, best_up):
+            return min(best_lo, best_up), best_up, v, it, False
+    return min(best_lo, best_up), best_up, v, it, False
 
 
 def power_step_graphs():
@@ -202,8 +219,7 @@ def test_power_step_matches_reference_bit_for_bit(monkeypatch):
     threshold = float(q_threshold(params))
     members = [make_member(params, rep).graph
                for size in (1, 2) for rep in enumerate_Eprime_orbits(params, size)]
-    runs = {"q": lambda g: q_index(g), "tight": lambda g: q_index(g, 1e-12),
-            "adjacency": lambda g: adjacency_spectral_radius(g)}
+    runs = {"q": lambda g: q_index(g), "tight": lambda g: q_index(g, 1e-12)}
     got = {name: [run(g) for g in graphs] for name, run in runs.items()}
     got_members = [decide_q_ge(g, threshold) for g in members]
     monkeypatch.setattr(spectral, "_iterate_np", reference_iterate_np)
@@ -214,6 +230,47 @@ def test_power_step_matches_reference_bit_for_bit(monkeypatch):
     assert {d for d, _ in got_members} == {True, False}
     for g, (decision, est) in zip(members, got_members):
         want_decision, want = decide_q_ge(g, threshold)
+        assert decision == want_decision and same_estimate(est, want)
+
+
+def small_order_graphs():
+    """Every connected graph with n <= 6, then seeded disconnected graphs
+    with n < 32: two connected random parts and two isolated vertices."""
+    graphs = [g for n in range(1, 7) for g in iter_labeled_graphs(n) if is_connected(g)]
+    rng = np.random.default_rng(707)
+    for n, p in ((7, 0.3), (11, 0.5), (16, 0.2), (22, 0.7), (27, 0.4), (31, 0.1)):
+        parts = []
+        for size in (n - n // 3 - 2, n // 3):
+            g = random_graph_mask(size, rng, p=p)
+            for i in range(size - 1):  # a Hamiltonian path keeps the part connected
+                if not g.has_edge(i, i + 1):
+                    g = g.with_edge_added(i, i + 1)
+            parts.append(g)
+        graphs.append(disjoint_union(parts[0], disjoint_union(parts[1], empty(2))))
+    return graphs
+
+
+def test_small_order_step_matches_reference_bit_for_bit(monkeypatch):
+    from qconn import spectral
+
+    graphs = small_order_graphs()
+    disconnected = [g for g in graphs if not is_connected(g)]
+    assert len(disconnected) == 6
+    assert all(len(components(g)) == 4 and max(map(len, components(g))) < g.n < 32
+               for g in disconnected)
+    tols = (1e-9, 1e-6)
+    got = {tol: [q_index(g, tol) for g in graphs] for tol in tols}
+    # the deciders' float path, which disconnected graphs always take
+    thresholds = [round(q_index_dense_oracle(g), 3) for g in disconnected]
+    deciders = (decide_q_ge, decide_q_gt)
+    got_decisions = [decide(g, t) for g, t in zip(disconnected, thresholds) for decide in deciders]
+    monkeypatch.setattr(spectral, "_iterate_small", reference_iterate_small)
+    for tol in tols:
+        for g, est in zip(graphs, got[tol]):
+            assert same_estimate(est, q_index(g, tol)), (tol, write_graph6(g))
+    want_decisions = [decide(g, t) for g, t in zip(disconnected, thresholds) for decide in deciders]
+    assert {d for d, _ in got_decisions} == {True, False}
+    for (decision, est), (want_decision, want) in zip(got_decisions, want_decisions):
         assert decision == want_decision and same_estimate(est, want)
 
 
@@ -238,7 +295,6 @@ def test_dense_oracle_against_scipy(rng):
         adj = np.array([[float(g.has_edge(i, j)) for j in range(n)] for i in range(n)])
         q = adj + np.diag([float(g.degree(i)) for i in range(n)])
         assert q_index_dense_oracle(g) == pytest.approx(float(eigvalsh(q)[-1]), abs=1e-9)
-        assert adjacency_dense_oracle(g) == pytest.approx(float(eigvalsh(adj)[-1]), abs=1e-9)
 
 
 def test_oracle_agreement_random(rng):
@@ -260,8 +316,8 @@ def test_oracle_agreement_random(rng):
 def test_rayleigh_below_upper(rng):
     for _ in range(1000):
         g = random_graph_mask(int(rng.integers(1, 14)), rng)
-        v = np.abs(rng.normal(size=g.n)) + 1e-3
-        assert rayleigh_q(g, v) <= q_index(g, 1e-9).upper + 1e-9
+        v = [int(x) for x in rng.integers(1, 1000, size=g.n)]
+        assert rayleigh_q_exact(g, v) <= q_index(g, 1e-9).upper + 1e-9
 
 
 def test_regular_graphs():
@@ -383,40 +439,6 @@ def test_deciders_reject_non_finite_thresholds(bad):
         for decide in (decide_q_ge, decide_q_gt):
             with pytest.raises(ValueError, match="finite"):
                 decide(g, bad)
-
-
-# -- adjacency spectral radius --------------------------------------------------
-
-
-def test_adjacency_examples():
-    for n in (3, 7, 20):
-        assert abs(adjacency_spectral_radius(complete(n), 1e-10).value - (n - 1)) <= 1e-9
-    assert abs(adjacency_spectral_radius(cycle(6), 1e-10).value - 2.0) <= 1e-9
-    # bipartite star: plain power iteration would oscillate; shift handles it
-    star = join(complete(1), empty(4))
-    est = adjacency_spectral_radius(star, 1e-10)
-    assert est.converged
-    assert est.value == pytest.approx(2.0, abs=1e-9)  # sqrt(n-1)
-    assert adjacency_dense_oracle(star) == pytest.approx(2.0, abs=1e-10)
-
-
-def test_adjacency_extremal_graph():
-    g = build_A_graph(103, 3, 3)
-    est = adjacency_spectral_radius(g, 1e-9)
-    oracle = adjacency_dense_oracle(g)
-    assert est.lower - 1e-8 <= oracle <= est.upper + 1e-8
-    # the construction attains the adjacency threshold n - delta + k - 3
-    assert oracle >= 100.0 - 1e-9
-    assert 99.0 < oracle < 102.0
-
-
-def test_adjacency_agreement_random(rng):
-    for _ in range(150):
-        g = random_graph_mask(int(rng.integers(1, 20)), rng, p=float(rng.random()))
-        est = adjacency_spectral_radius(g, 1e-10)
-        oracle = adjacency_dense_oracle(g)
-        assert abs(est.upper - oracle) <= 1e-8
-        assert est.lower - 1e-9 <= oracle <= est.upper + 1e-9
 
 
 # -- eigen identities ------------------------------------------------------------
