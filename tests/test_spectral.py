@@ -39,19 +39,25 @@ def build_A_graph(n, k, d):
 # -- exact Rayleigh quotient ---------------------------------------------------
 
 
-def test_rayleigh_exact():
-    g = disjoint_union(complete(101), empty(2))
-    v = [1] * 101 + [0, 0]
-    assert rayleigh_q_exact(g, v) == Fraction(200)  # clique indicator: 2(p-1)
+def test_rayleigh_examples():
     assert rayleigh_q_exact(complete(2), [1, 1]) == 2
     rng = np.random.default_rng(3)
     for _ in range(50):
         g = random_graph_mask(int(rng.integers(1, 12)), rng)
         assert rayleigh_q_exact(g, [1] * g.n) == Fraction(4 * g.m, g.n)
+    # indicator of the clique in K_p u empty: quotient 2(p-1)
+    g = disjoint_union(complete(101), empty(2))
+    assert rayleigh_q_exact(g, [1] * 101 + [0, 0]) == Fraction(200)
     with pytest.raises(ValueError):
         rayleigh_q_exact(g, [0] * g.n)
     with pytest.raises(ValueError):
         rayleigh_q_exact(g, [1] * (g.n + 1))
+
+
+def test_rayleigh_exact():
+    g = disjoint_union(complete(101), empty(2))
+    v = [1] * 101 + [0, 0]
+    assert rayleigh_q_exact(g, v) == Fraction(200)
 
 
 # -- certified q-index --------------------------------------------------------
