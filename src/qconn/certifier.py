@@ -9,9 +9,9 @@ the hypotheses, tests the spectral condition against certified bounds,
 and on a connectivity failure must reconstruct an exceptional member; a
 failure to do so is the falsification signal and is flagged loudly.
 
-Threshold comparisons never trust floating point near a tie: the bracket
-is escalated first, and for classified members an exact rational Rayleigh
-witness (the 0/1 indicator of Y u Z) settles the boundary case.
+The spectral condition is decided by ``decide_q_ge``, whose every True or
+False is an exact integer Collatz-Wielandt certificate; when no
+certificate settles it, the verdict is ``UNDECIDED_NUMERIC``.
 """
 
 from __future__ import annotations
@@ -148,16 +148,11 @@ def certify(
                        ("hypotheses not met; spectral data emitted for exploration",))
 
     decision, est = decide_q_ge(g, float(threshold), tolerance)
-    notes = ()
     if decision is None:
-        # bracket straddles the threshold: fall back to the exact witness
-        member = classify_membership(g, k, delta_eff)
-        if member is None or rayleigh_q_exact(member.graph, _member_z_vector(member)) < threshold:
-            return verdict(UNDECIDED_NUMERIC, est,
-                           ("certified bracket straddles the threshold after escalation",),
-                           membership=member)
-        notes = ("spectral condition settled by exact rational witness",)
-    elif not decision:
+        return verdict(UNDECIDED_NUMERIC, est,
+                       ("no integer certificate settles the threshold",),
+                       membership=classify_membership(g, k, delta_eff))
+    if not decision:
         return verdict(CONDITION_NOT_MET, est)
 
     ok, cut = is_k_connected(g, k)
@@ -166,12 +161,12 @@ def certify(
             conn = vertex_connectivity(g)  # complete graph short-circuit
         else:
             conn = ConnectivityResult(kappa=k, cut=(), method="maxflow-threshold")
-        return verdict(K_CONNECTED_CERTIFIED, est, notes, connectivity=conn)
+        return verdict(K_CONNECTED_CERTIFIED, est, connectivity=conn)
 
     witness = ConnectivityResult(kappa=len(cut), cut=cut, method="maxflow-threshold")
     member = classify_membership(g, k, delta_eff)
     if member is not None and member.family_class == FAMILY_A1:
-        return verdict(EXCEPTIONAL_FAMILY, est, notes, connectivity=witness, membership=member)
+        return verdict(EXCEPTIONAL_FAMILY, est, connectivity=witness, membership=member)
     # spectral condition certified, not k-connected, no A1 membership:
     # this contradicts the theorem and is the headline falsification signal
     return verdict(THEOREM_VIOLATION, est,

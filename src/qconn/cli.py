@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from fractions import Fraction
 from typing import List, Optional
 
 from . import certifier
@@ -25,7 +26,13 @@ from .extremal import (
 )
 from .graphs import Graph, Graph6Error, write_graph6
 from .harness import CampaignConfig, CampaignError, CorpusError, read_corpus, run_campaign
-from .spectral import q_index, q_index_dense_oracle, q_upper_bound_edges, ORACLE_MAX_N
+from .spectral import (
+    ORACLE_MAX_N,
+    decide_q_gt,
+    q_index,
+    q_index_dense_oracle,
+    q_upper_bound_edges,
+)
 
 
 def _emit(payload, as_json: bool, text: str) -> None:
@@ -142,9 +149,10 @@ def _cmd_verify(args) -> int:
         ok = True
         for g in read_corpus(args.input or "-"):
             if lemma == "2.2":
-                est = q_index(g, args.tol)
                 bound = q_upper_bound_edges(g)
-                holds = est.upper <= bound + 1e-9
+                # proved, with no slack, by an integer certificate for q <= bound
+                decision, est = decide_q_gt(g, Fraction(2 * g.m, g.n - 1) + g.n - 2, args.tol)
+                holds = decision is False
                 payload = {"bound": bound, "q_upper": est.upper, "holds": holds}
                 _emit(payload, args.json, f"bound={bound:.12g} q_upper={est.upper:.12g} holds={holds}")
                 ok = ok and holds

@@ -11,6 +11,7 @@ replayed through the ``certify-one`` mode (or the CLI ``certify`` verb).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -44,6 +45,7 @@ from .graphs import (
     write_graph6,
     _ENUMERATION_MAX_N,
     _POPCOUNT,
+    _frozen,
     _graph_from_bool,
     _pair_words,
     _reach_within,
@@ -280,6 +282,12 @@ _LEMMA23_BLOCK = 1 << 16
 _LEMMA23_STRIDE = 100_000
 
 
+@functools.cache
+def _comb_table(npairs: int, r: int) -> np.ndarray:
+    """C(a, r) for a = 0 .. npairs - 1, read-only."""
+    return _frozen(np.array([math.comb(a, r) for a in range(npairs)], dtype=np.int64))
+
+
 def _unrank_combinations(npairs: int, size: int, lo: int, hi: int) -> np.ndarray:
     """Rows ``lo..hi-1`` of ``itertools.combinations(range(npairs), size)``
     as an ``(hi - lo, size)`` int64 array.
@@ -292,7 +300,7 @@ def _unrank_combinations(npairs: int, size: int, lo: int, hi: int) -> np.ndarray
     rest = math.comb(npairs, size) - 1 - np.arange(lo, hi, dtype=np.int64)
     out = np.empty((hi - lo, size), dtype=np.int64)
     for pos in range(size):
-        table = np.array([math.comb(a, size - pos) for a in range(npairs)], dtype=np.int64)
+        table = _comb_table(npairs, size - pos)
         top = np.searchsorted(table, rest, side="right") - 1
         rest -= table[top]
         out[:, pos] = npairs - 1 - top

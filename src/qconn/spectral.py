@@ -6,23 +6,22 @@ quotients
 
     min_i (Qv)_i / v_i   <=   q(G)   <=   max_i (Qv)_i / v_i
 
-bracket q(G) rigorously.  Power iteration tightens the bracket; the
-estimate keeps the running best bounds, and threshold tests compare
-against them so a near-tie is never decided by floating-point noise.
+bracket q(G).  Power iteration tightens the bracket and the estimate
+keeps the running best bounds; its float quotients carry no rounding
+allowance, so no threshold test rests on them alone.
 Q is the only operator here: the paper's condition is on q(G) alone.
 
-``decide_q_ge`` and ``decide_q_gt`` share one decision path, ``_decide``.
-On a connected graph of order below ``_SMALL_N`` it first settles the test
-exactly.  Q and every positive integer vector v have integer
-entries, so with T = num/den (``threshold.as_integer_ratio()``) comparing
-(Qv)_i * den with num * v_i at every i proves q > T, q >= T, q <= T or
-q < T without rounding.  It tries v0 = d + 1 and then v1 = Q v0, the first
-two iterates of the power iteration, and runs the float iteration only if
-neither settles the test; a float bracket that still straddles T is
-escalated (more iterations, a finer tolerance) before the test is left
-undecided.  The float bracket reported with an exact
-decision holds the extreme quotients of the deciding vector, each rounded
-one ulp outward (``math.nextafter``) so that it contains q.
+``decide_q_ge`` and ``decide_q_gt`` share one decision path, ``_decide``,
+and each True or False it returns is an integer proof.  Q and every
+positive integer vector v have integer entries, so with T = num/den
+(``threshold.as_integer_ratio()``) comparing (Qv)_i * den with num * v_i
+at every i proves q > T, q >= T, q <= T or q < T without rounding.  Below
+order ``_SMALL_N`` a connected graph tries v0 = d + 1, then v1 = Q v0.
+Otherwise one float iteration runs, and its iterate rounded to integers at
+scale 2^30 is tested; if that proves nothing the answer is None.  With a
+decision comes a bracket that contains q: the deciding vector's extreme
+quotients, each rounded one ulp outward (``math.nextafter``), or the float
+bracket where that agrees with the proof and contains them.
 
 The dense oracle is LAPACK's symmetric eigensolver (``np.linalg.eigvalsh``)
 on the explicit D + A matrix; it shares no code with the iterative path
@@ -43,8 +42,7 @@ from .graphs import Graph, _bits, components
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
 _SMALL_N = 32  # below this, plain-Python iteration beats numpy call overhead
-_ESCALATION_CAP = 1_000_000  # deciders double the iteration budget up to this
-_ESCALATION_TOL_STEP = 10.0  # and divide the tolerance by this each round
+_CERT_SCALE = float(1 << 30)  # largest entry of a float iterate rounded to integers
 
 
 @dataclass
@@ -83,7 +81,7 @@ class SpectralEstimate:
 def rayleigh_q_exact(g: Graph, v: Sequence[int]) -> Fraction:
     """Exact rational Rayleigh quotient <Qv,v>/<v,v> for an integer vector,
     from the edge-sum identity <Qv,v> = sum_{i~j} (v_i + v_j)^2.  Always a
-    lower bound for q(G); used as a certified witness near a threshold."""
+    lower bound for q(G); the lemma checks evaluate it on family members."""
     if len(v) != g.n:
         raise ValueError("vector length mismatch")
     denom = sum(x * x for x in v)
@@ -179,44 +177,35 @@ def _iterate_np(adj, d, tol, max_iter, stop):
     return min(best_lo, best_up), best_up, v, it, False
 
 
-def _component_estimate(g, comp, tol, max_iter, stop=None):
-    """Certified bounds for one connected component (vertex id list)."""
-    if len(comp) == 1:
-        return 0.0, 0.0, [1.0], 0, True  # isolated vertex: eigenvalue 0
-    if len(comp) < _SMALL_N and g.n < _SMALL_N:
-        return _iterate_small(g.rows, g.degrees(), comp, tol, max_iter, stop)
-    sub = g if len(comp) == g.n else g.subgraph(comp)
-    return _iterate_np(sub.adjacency_bool(), sub.degree_array(), tol, max_iter, stop)
+def _component_runs(g, tol, max_iter, stop=None) -> list:
+    """(comp, lo, up, vec, iters, converged) of the float run on each component."""
+    runs = []
+    for comp in components(g):
+        if len(comp) == 1:  # isolated vertex: eigenvalue 0
+            runs.append((comp, 0.0, 0.0, [1.0], 0, True))
+        elif len(comp) < _SMALL_N and g.n < _SMALL_N:
+            runs.append((comp, *_iterate_small(g.rows, g.degrees(), comp, tol, max_iter, stop)))
+        else:
+            sub = g if len(comp) == g.n else g.subgraph(comp)
+            runs.append((comp, *_iterate_np(sub.adjacency_bool(), sub.degree_array(),
+                                            tol, max_iter, stop)))
+    return runs
 
 
-def _spectral_radius(g, tol, max_iter, stop=None) -> SpectralEstimate:
+def _estimate(g, runs, tol) -> SpectralEstimate:
+    """The spectrum of a block-diagonal operator: the maximum over blocks."""
     if g.n == 0:
         return SpectralEstimate(0.0, 0.0, np.zeros(0), 0, True, tol)
-    comps = components(g)
-    results = []
-    total_it = 0
-    for comp in comps:
-        lo, up, vec, it, conv = _component_estimate(g, comp, tol, max_iter, stop)
-        total_it += it
-        results.append((lo, up, vec, conv, comp))
-    # spectrum of a block-diagonal operator: take the maximum over blocks
-    lower = max(r[0] for r in results)
-    upper = max(r[1] for r in results)
-    best = max(results, key=lambda r: r[0])
-    if len(best[4]) == g.n:  # connected: the component is 0..n-1 in order
-        vector = np.asarray(best[2], dtype=np.float64)
+    lower = max(r[1] for r in runs)
+    upper = max(r[2] for r in runs)
+    best = max(runs, key=lambda r: r[1])
+    if len(best[0]) == g.n:  # connected: the component is 0..n-1 in order
+        vector = np.asarray(best[3], dtype=np.float64)
     else:
         vector = np.zeros(g.n)
-        vector[list(best[4])] = best[2]
-    converged = all(r[3] for r in results) and upper - lower <= tol
-    return SpectralEstimate(
-        lower=lower,
-        upper=upper,
-        vector=vector,
-        iterations=total_it,
-        converged=converged,
-        tolerance=tol,
-    )
+        vector[list(best[0])] = best[3]
+    return SpectralEstimate(lower, upper, vector, sum(r[4] for r in runs),
+                            all(r[5] for r in runs) and upper - lower <= tol, tol)
 
 
 def q_index(g: Graph, tolerance: float = DEFAULT_TOL, max_iterations: int = DEFAULT_MAX_ITER) -> SpectralEstimate:
@@ -227,7 +216,7 @@ def q_index(g: Graph, tolerance: float = DEFAULT_TOL, max_iterations: int = DEFA
     """
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    return _spectral_radius(g, tolerance, max_iterations)
+    return _estimate(g, _component_runs(g, tolerance, max_iterations), tolerance)
 
 
 def _settled(lo, up, threshold, strict: bool) -> Optional[bool]:
@@ -240,20 +229,17 @@ def _settled(lo, up, threshold, strict: bool) -> Optional[bool]:
     return None
 
 
-def _decide_exact(g: Graph, threshold, strict: bool, tolerance: float):
-    """Exact Collatz-Wielandt test of ``q(G) > threshold`` (``strict``) or
-    ``q(G) >= threshold`` on a connected graph, with v0 = d + 1 and then
-    v1 = Q v0.  Returns the decision and its estimate, or None when
-    neither vector settles the test.
+def _proof(w, v, num, den, strict: bool) -> Optional[bool]:
+    """What integer vectors v > 0 and w = Qv prove about q vs num/den, as
+    ``_settled``: w_i * den - num * v_i has the sign of w_i / v_i - num/den."""
+    excess = [y * den - num * x for y, x in zip(w, v)]
+    return _settled(min(excess), max(excess), 0, strict)
 
-    With num/den = threshold, e_i = (Qv)_i * den - num * v_i has the sign
-    of (Qv)_i / v_i - threshold, so min_i e_i and max_i e_i compared with 0
-    settle exactly what the extreme quotients compared with the threshold
-    would.  ``iterations`` counts the integer steps.
-    """
-    # numpy integers lack as_integer_ratio; Fraction takes any real type
-    exact = threshold if isinstance(threshold, float) else Fraction(threshold)
-    num, den = exact.as_integer_ratio()
+
+def _decide_exact(g: Graph, num: int, den: int, strict: bool, tolerance: float):
+    """The integer test on a connected graph with v0 = d + 1, then
+    v1 = Q v0: the decision and its estimate, or None when neither vector
+    settles it.  ``iterations`` counts the integer steps."""
     degs = g.degrees()
     nbrs = [_bits(row) for row in g.rows]
     v = [d + 1 for d in degs]
@@ -264,8 +250,7 @@ def _decide_exact(g: Graph, threshold, strict: bool, tolerance: float):
             for j in ns:
                 y += v[j]
             w.append(y)
-        excess = [y * den - num * x for y, x in zip(w, v)]
-        decision = _settled(min(excess), max(excess), 0, strict)
+        decision = _proof(w, v, num, den, strict)
         if decision is None:
             v = w
             continue
@@ -279,49 +264,69 @@ def _decide_exact(g: Graph, threshold, strict: bool, tolerance: float):
     return None
 
 
+def _rounded_proof(g: Graph, comp, vec, num: int, den: int, strict: bool):
+    """The integer test on the float iterate ``vec`` of component ``comp``
+    rounded to integers v >= 1 with largest entry ``_CERT_SCALE``: the
+    decision and v's extreme quotients, each rounded one ulp outward.
+    Float64 holds Qv exactly (integers of at most 2n * 2^30 < 2^53 for
+    n <= MAX_ORDER), and the excess too while both of its products stay
+    below 2^52; past that the test runs in Python ints."""
+    sub = g if len(comp) == g.n else g.subgraph(comp)
+    x = np.asarray(vec, dtype=np.float64)
+    x = np.maximum(np.rint(x * (_CERT_SCALE / x.max())), 1.0)
+    y = sub.adjacency_bool().astype(np.float64).dot(x) + sub.degree_array() * x
+    if den * int(y.max() + 1) < 2**52 and abs(num) * int(x.max()) < 2**52:
+        excess = y * den - x * num
+        decision = _settled(excess.min(), excess.max(), 0, strict)
+    else:
+        decision = _proof(y.astype(np.int64).tolist(), x.astype(np.int64).tolist(),
+                          num, den, strict)
+    quot = y / x  # correctly rounded, so these extremes round the exact ones
+    return decision, math.nextafter(quot.min(), -math.inf), math.nextafter(quot.max(), math.inf)
+
+
 def _decide(g: Graph, threshold, strict: bool,
             tolerance: float) -> Tuple[Optional[bool], SpectralEstimate]:
     """Certified test of ``q(G) > threshold`` (``strict``) or
-    ``q(G) >= threshold``: the exact test on a small connected graph, else
-    (or if it does not settle) the float iteration.  While its bracket
-    straddles, the iteration reruns with the budget doubled up to
-    ``_ESCALATION_CAP`` and the tolerance divided by ``_ESCALATION_TOL_STEP``
-    each round; the reported count is the last round's plus the two integer
-    steps."""
+    ``q(G) >= threshold`` (module docstring).  The reported count is the
+    float run's plus the two integer steps."""
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
+    # numpy integers lack as_integer_ratio; Fraction takes any real type
+    exact = threshold if isinstance(threshold, float) else Fraction(threshold)
+    num, den = exact.as_integer_ratio()
     steps = 0
     if 0 < g.n < _SMALL_N and len(components(g)) == 1:
-        settled = _decide_exact(g, threshold, strict, tolerance)
+        settled = _decide_exact(g, num, den, strict, tolerance)
         if settled is not None:
             return settled
         steps = 2
 
-    def stop(lo, up):
-        return _settled(lo, up, threshold, strict) is not None
-
-    budget, tol = DEFAULT_MAX_ITER, tolerance
-    while True:
-        est = _spectral_radius(g, tol, budget, stop)
-        decision = _settled(est.lower, est.upper, threshold, strict)
-        if decision is not None or budget >= _ESCALATION_CAP:
-            est.iterations += steps
-            return decision, est
-        budget = min(2 * budget, _ESCALATION_CAP)
-        tol = tol / _ESCALATION_TOL_STEP
+    runs = _component_runs(g, tolerance, DEFAULT_MAX_ITER,
+                           lambda lo, up: _settled(lo, up, threshold, strict) is not None)
+    decisions = [_settled(0, 0, threshold, strict)] if g.n == 0 else []  # q = 0
+    for i, (comp, lo, up, vec, it, _) in enumerate(runs):
+        decision, out_lo, out_up = _rounded_proof(g, comp, vec, num, den, strict)
+        # keep the float bracket only where it agrees and provably holds q
+        if decision is not None and not (decision == _settled(lo, up, threshold, strict)
+                                         and lo <= out_lo and out_up <= up):
+            runs[i] = (comp, out_lo, out_up, vec, it, out_up - out_lo <= tolerance)
+        decisions.append(decision)
+    est = _estimate(g, runs, tolerance)
+    est.iterations += steps
+    # q(G) is the largest component index
+    return (True if True in decisions else None if None in decisions else False), est
 
 
 def decide_q_ge(g: Graph, threshold: float,
                 tolerance: float = DEFAULT_TOL) -> Tuple[Optional[bool], SpectralEstimate]:
     """Certified test of ``q(G) >= threshold`` (used by ``certify``).
 
-    On a connected graph with n < ``_SMALL_N`` the integer vectors d + 1
-    and Q(d + 1) usually settle the test exactly (module docstring).
-    Otherwise the float iteration decides: True when the certified lower
-    bound reaches the threshold, False when the certified upper bound falls
-    below it, None when the bracket still straddles after the budget has
-    doubled up to ``_ESCALATION_CAP`` iterations.  A NaN or infinite
-    threshold raises ``ValueError``.
+    True or False only when an integer Collatz-Wielandt certificate proves
+    it (module docstring), so an exact tie such as q(K_n) = 2n - 2 comes
+    back True; None when neither v0 = d + 1, v1 = Q v0 nor the rounded
+    float iterate proves anything.  A NaN or infinite threshold raises
+    ``ValueError``.
     """
     return _decide(g, threshold, False, tolerance)
 
@@ -331,9 +336,7 @@ def decide_q_gt(g: Graph, threshold: float,
     """Certified test of ``q(G) > threshold`` (used by the edge-bound sweep).
 
     Decided as ``decide_q_ge`` is, so an exact tie such as q(K_n) = 2n - 2
-    comes back False: True when the certified lower bound exceeds the
-    threshold, False when the certified upper bound does not, None when the
-    bracket still straddles at ``_ESCALATION_CAP`` iterations.
+    comes back False.
     """
     return _decide(g, threshold, True, tolerance)
 

@@ -152,9 +152,6 @@ def test_certify_verdict_json():
 
 
 def test_certify_exact_witness_branch(monkeypatch):
-    # force the bracket to straddle so the exact rational witness must decide
-    member = make_member(PARAMS, [(0, 4)])  # A1 at the boundary: q_z = 200 exactly
-
     real_decide = certifier_mod.decide_q_ge
 
     def straddle(g, threshold, tolerance=1e-9, **kw):
@@ -162,11 +159,7 @@ def test_certify_exact_witness_branch(monkeypatch):
         return None, est
 
     monkeypatch.setattr(certifier_mod, "decide_q_ge", straddle)
-    v = certifier_mod.certify(member.graph, 3)
-    assert v.outcome == EXCEPTIONAL_FAMILY
-    assert any("exact rational witness" in note for note in v.notes)
-
-    # a non-member graph with a straddling bracket stays undecided
+    # with no integer certificate the verdict is undecided; no witness is tried
     v = certifier_mod.certify(complete(103), 3)
     assert v.outcome == UNDECIDED_NUMERIC
 
@@ -190,7 +183,7 @@ def _pinned(outcome, q, hyp=_HYP_OK, threshold=200, delta=3, kappa=None, cut=Non
 
 
 _NOT_MET_Q = (55.0, 199.99999999999994)  # A2 member: stopped once below 200
-_STRADDLE = "certified bracket straddles the threshold after escalation"
+_STRADDLE = "no integer certificate settles the threshold"
 
 # certify(g, 3).to_dict() for every outcome; decide_q_ge is patched to
 # "straddle" (undecided) or "true" (spectral condition forced) where named
@@ -207,11 +200,6 @@ _BRANCH_PINS = {
         lambda: build_A(PARAMS)[0], None,
         _pinned(EXCEPTIONAL_FAMILY, (200.03654467997742, 200.0408087176452),
                 kappa=2, cut=[0, 1], member=_member_dict("A1", []))),
-    "exceptional-exact-witness": (
-        lambda: make_member(PARAMS, [(0, 4)]).graph, "straddle",
-        _pinned(EXCEPTIONAL_FAMILY, (200.0003045997747, 200.0012189840604),
-                kappa=2, cut=[0, 1], member=_member_dict("A1", [(0, 4)]),
-                notes=["spectral condition settled by exact rational witness"])),
     "condition-not-met": (
         lambda: make_member(PARAMS, _A2).graph, None,
         _pinned(CONDITION_NOT_MET, _NOT_MET_Q)),

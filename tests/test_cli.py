@@ -101,6 +101,13 @@ def test_verify_lemma22_cli(tmp_path, capsys):
     code, out = run_cli(capsys, "verify", "--lemma", "2.2", str(f), "--json")
     assert code == 0
     assert json.loads(out)["holds"]
+    # an edge-bound tie on the float path: q(K_103) = 204 = 2m/(n-1) + n - 2
+    f.write_text(write_graph6(complete(103)) + "\n")
+    code, out = run_cli(capsys, "verify", "--lemma", "2.2", str(f), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["holds"] and payload["bound"] == 204.0
+    assert payload["q_upper"] >= 204  # the outward-rounded certificate bracket
 
 
 def test_sweep_cli(tmp_path, capsys):

@@ -238,6 +238,27 @@ def test_theorem15_campaign():
     assert report.details["proof_chain"]["chain_holds"]
 
 
+# canonical-JSON sha256 of outcome-only certify campaigns at paper scale;
+# every decision in them must stay what it was
+CERTIFY_PINS = [
+    pytest.param(dict(mode="theorem15", n=103, k=3, delta=3),
+                 "593aa7449d435c405e2bd49fb92fab4c2839b18b93fd487bc3af9370741043f5",
+                 id="theorem15-103-3-3"),
+    pytest.param(dict(mode="theorem15", n=185, k=3, delta=4),
+                 "da3c31f224105c8b2ee15ed99fb12bfdc4835a1b37371cc4689f6668b6a7cd94",
+                 id="theorem15-185-3-4"),
+    pytest.param(dict(mode="counterexample", n=103, k=3, delta=3, count=200, seed=5),
+                 "dcd4313fab95660bde8cf792d39b03e30ebb1d37603bec19dc475e19b14a3c94",
+                 id="counterexample-103-200-seed5"),
+]
+
+
+@pytest.mark.parametrize("overrides,digest", CERTIFY_PINS)
+def test_certify_campaign_canonical_json_pinned(overrides, digest):
+    report = run_campaign(CampaignConfig(**overrides))
+    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
+
+
 def test_family_sweep_campaign():
     config = CampaignConfig(mode="family-sweep", n=103, k=3, delta=3)
     report = run_campaign(config)

@@ -381,6 +381,9 @@ EXACT_Q = (
     + [(f"star{n}", star(n), n) for n in range(3, 9)]
     + [(f"C{n}", cycle(n), 4) for n in range(3, 10)]
     + [("petersen", petersen(), 6), ("P3", path(3), 3)]
+    # regular graphs on the float path (n >= 32): the rounded iterate must tie
+    + [(f"K{n}", complete(n), 2 * n - 2) for n in (40, 103)]
+    + [(f"coC{n}", cycle(n).complement(), 2 * n - 6) for n in (40, 103)]
 )
 
 
@@ -407,6 +410,35 @@ def test_star_needs_the_second_integer_vector():
     got, est = decide_q_ge(star(4), 4)
     assert got is True and est.iterations == 2
     assert est.vector == pytest.approx(np.array([3.0, 1.0, 1.0, 1.0]) / math.sqrt(12.0))
+
+
+def test_float_path_decides_by_the_integer_test_not_the_bracket(monkeypatch):
+    from qconn import spectral
+
+    def returns(bracket, vector):
+        monkeypatch.setattr(spectral, "_iterate_np", lambda adj, d, tol, max_iter, stop:
+                            (*bracket, vector.copy(), 1, False))
+
+    # A(103,3,3) has q = 200.0365...; a float run that returns the true
+    # iterate with the lying bracket [0, 199] must not make the answer False
+    g = build_A_graph(103, 3, 3)
+    q = q_index_dense_oracle(g)
+    returns((0.0, 199.0), q_index(g, 1e-12).vector)
+    got, est = decide_q_ge(g, 200)
+    assert got is True
+    assert 200 <= est.lower <= q <= est.upper  # the proof's outward quotients
+    monkeypatch.undo()
+
+    # K_40 with a pendant 12-vertex path: Perron entries fall to 1e-23 of
+    # the largest, so the rounded iterate holds zeros unless clamped to 1
+    g = disjoint_union(complete(40), path(12)).with_edge_added(39, 40)
+    q = q_index_dense_oracle(g)
+    vector = q_index(g, 1e-12).vector
+    assert vector.min() * 2**30 < 1e-6 * vector.max()
+    returns((0.0, math.inf), vector)
+    got, est = decide_q_gt(g, 79)
+    assert got is False
+    assert est.lower <= q <= est.upper <= 79
 
 
 def test_exact_decisions_agree_with_eigvalsh_on_every_small_connected_graph():
