@@ -152,10 +152,11 @@ def _cmd_verify(args) -> int:
                 bound = q_upper_bound_edges(g)
                 # proved, with no slack, by an integer certificate for q <= bound
                 decision, est = decide_q_gt(g, Fraction(2 * g.m, g.n - 1) + g.n - 2, args.tol)
-                holds = decision is False
+                holds = None if decision is None else not decision  # None: undecided
                 payload = {"bound": bound, "q_upper": est.upper, "holds": holds}
-                _emit(payload, args.json, f"bound={bound:.12g} q_upper={est.upper:.12g} holds={holds}")
-                ok = ok and holds
+                text = "undecided" if holds is None else holds
+                _emit(payload, args.json, f"bound={bound:.12g} q_upper={est.upper:.12g} holds={text}")
+                ok = ok and holds is not False
             else:
                 rep = certifier.check_lemma_2_3(g, args.k, args.delta)
                 _emit(rep.to_dict(), args.json,

@@ -11,17 +11,15 @@ keeps the running best bounds; its float quotients carry no rounding
 allowance, so no threshold test rests on them alone.
 Q is the only operator here: the paper's condition is on q(G) alone.
 
-``decide_q_ge`` and ``decide_q_gt`` share one decision path, ``_decide``,
-and each True or False it returns is an integer proof.  Q and every
-positive integer vector v have integer entries, so with T = num/den
-(``threshold.as_integer_ratio()``) comparing (Qv)_i * den with num * v_i
-at every i proves q > T, q >= T, q <= T or q < T without rounding.  Below
-order ``_SMALL_N`` a connected graph tries v0 = d + 1, then v1 = Q v0.
-Otherwise one float iteration runs, and its iterate rounded to integers at
-scale 2^30 is tested; if that proves nothing the answer is None.  With a
-decision comes a bracket that contains q: the deciding vector's extreme
-quotients, each rounded one ulp outward (``math.nextafter``), or the float
-bracket where that agrees with the proof and contains them.
+Each True or False of ``decide_q_ge`` and ``decide_q_gt`` is an integer
+proof: with T = num/den, comparing (Qv)_i * den with num * v_i at every i
+proves q > T, q >= T, q <= T or q < T for a positive integer vector v.
+Below order ``_SMALL_N`` a connected graph tries v0 = d + 1, then
+v1 = Q v0.  Otherwise one float run's iterate is rounded to integers >= 1
+at scale 2^30; failing that, the unclamped rounding (lower side only),
+then v0 and v1.  Else the answer is None.  A decision's bracket contains
+q: the deciding vector's extreme quotients rounded one ulp outward, or
+the float bracket where that agrees with the proof and contains them.
 
 The dense oracle is LAPACK's symmetric eigensolver (``np.linalg.eigvalsh``)
 on the explicit D + A matrix; it shares no code with the iterative path
@@ -229,17 +227,10 @@ def _settled(lo, up, threshold, strict: bool) -> Optional[bool]:
     return None
 
 
-def _proof(w, v, num, den, strict: bool) -> Optional[bool]:
-    """What integer vectors v > 0 and w = Qv prove about q vs num/den, as
-    ``_settled``: w_i * den - num * v_i has the sign of w_i / v_i - num/den."""
-    excess = [y * den - num * x for y, x in zip(w, v)]
-    return _settled(min(excess), max(excess), 0, strict)
-
-
-def _decide_exact(g: Graph, num: int, den: int, strict: bool, tolerance: float):
-    """The integer test on a connected graph with v0 = d + 1, then
-    v1 = Q v0: the decision and its estimate, or None when neither vector
-    settles it.  ``iterations`` counts the integer steps."""
+def _exact_steps(g: Graph, num: int, den: int, strict: bool):
+    """The integer test on a connected graph with v0 = d + 1, then v1 = Q v0:
+    (decision, v, lower, upper, steps) from the first vector that settles
+    it, its extreme quotients rounded one ulp outward; else decision None."""
     degs = g.degrees()
     nbrs = [_bits(row) for row in g.rows]
     v = [d + 1 for d in degs]
@@ -250,46 +241,46 @@ def _decide_exact(g: Graph, num: int, den: int, strict: bool, tolerance: float):
             for j in ns:
                 y += v[j]
             w.append(y)
-        decision = _proof(w, v, num, den, strict)
+        excess = [y * den - num * x for y, x in zip(w, v)]  # sign of w_i/v_i - T
+        decision = _settled(min(excess), max(excess), 0, strict)
         if decision is None:
             v = w
             continue
         quot = [y / x for y, x in zip(w, v)]  # correctly rounded
-        lower = math.nextafter(min(quot), -math.inf)
-        upper = math.nextafter(max(quot), math.inf)
-        vector = np.array(v, dtype=np.float64)
-        vector /= math.sqrt(vector.dot(vector))
-        return decision, SpectralEstimate(lower, upper, vector, step,
-                                          upper - lower <= tolerance, tolerance)
-    return None
+        return (decision, v, math.nextafter(min(quot), -math.inf),
+                math.nextafter(max(quot), math.inf), step)
+    return None, v, -math.inf, math.inf, 2
 
 
-def _rounded_proof(g: Graph, comp, vec, num: int, den: int, strict: bool):
-    """The integer test on the float iterate ``vec`` of component ``comp``
-    rounded to integers v >= 1 with largest entry ``_CERT_SCALE``: the
-    decision and v's extreme quotients, each rounded one ulp outward.
-    Float64 holds Qv exactly (integers of at most 2n * 2^30 < 2^53 for
-    n <= MAX_ORDER), and the excess too while both of its products stay
-    below 2^52; past that the test runs in Python ints."""
-    sub = g if len(comp) == g.n else g.subgraph(comp)
+def _rounded_proof(sub: Graph, vec, num: int, den: int, strict: bool, floor: float):
+    """The integer test on the iterate ``vec`` of the connected ``sub``,
+    rounded to integers v >= ``floor`` with largest entry ``_CERT_SCALE``:
+    the decision and v's extreme quotients rounded one ulp outward.  Qv is
+    exact in float64 (entries below 2n * 2^30 < 2^53), the excess while it
+    stays below 2^52.  With ``floor`` 0, Qv >= Tv (and Qv != Tv) proves
+    q >= T (q > T) via the positive left Perron vector; no upper bound."""
     x = np.asarray(vec, dtype=np.float64)
-    x = np.maximum(np.rint(x * (_CERT_SCALE / x.max())), 1.0)
+    x = np.maximum(np.rint(x * (_CERT_SCALE / x.max())), floor)
     y = sub.adjacency_bool().astype(np.float64).dot(x) + sub.degree_array() * x
     if den * int(y.max() + 1) < 2**52 and abs(num) * int(x.max()) < 2**52:
         excess = y * den - x * num
-        decision = _settled(excess.min(), excess.max(), 0, strict)
-    else:
-        decision = _proof(y.astype(np.int64).tolist(), x.astype(np.int64).tolist(),
-                          num, den, strict)
+    else:  # in Python ints
+        excess = np.array([int(b) * den - num * int(a) for b, a in zip(y, x)], dtype=object)
+    least, most = excess.min(), excess.max()
+    if not floor:
+        on = x > 0
+        return (True if least >= 0 and (most > 0 or not strict) else None,
+                math.nextafter((y[on] / x[on]).min(), -math.inf), math.inf)
     quot = y / x  # correctly rounded, so these extremes round the exact ones
-    return decision, math.nextafter(quot.min(), -math.inf), math.nextafter(quot.max(), math.inf)
+    return (_settled(least, most, 0, strict),
+            math.nextafter(quot.min(), -math.inf), math.nextafter(quot.max(), math.inf))
 
 
 def _decide(g: Graph, threshold, strict: bool,
             tolerance: float) -> Tuple[Optional[bool], SpectralEstimate]:
     """Certified test of ``q(G) > threshold`` (``strict``) or
     ``q(G) >= threshold`` (module docstring).  The reported count is the
-    float run's plus the two integer steps."""
+    float run's plus the integer steps v0, v1 tried."""
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
     # numpy integers lack as_integer_ratio; Fraction takes any real type
@@ -297,16 +288,25 @@ def _decide(g: Graph, threshold, strict: bool,
     num, den = exact.as_integer_ratio()
     steps = 0
     if 0 < g.n < _SMALL_N and len(components(g)) == 1:
-        settled = _decide_exact(g, num, den, strict, tolerance)
-        if settled is not None:
-            return settled
-        steps = 2
+        decision, v, lower, upper, steps = _exact_steps(g, num, den, strict)
+        if decision is not None:
+            vector = np.array(v, dtype=np.float64)
+            vector /= math.sqrt(vector.dot(vector))
+            return decision, SpectralEstimate(lower, upper, vector, steps,
+                                              upper - lower <= tolerance, tolerance)
+    fresh = not steps  # v0 and v1 not yet tried
 
     runs = _component_runs(g, tolerance, DEFAULT_MAX_ITER,
                            lambda lo, up: _settled(lo, up, threshold, strict) is not None)
     decisions = [_settled(0, 0, threshold, strict)] if g.n == 0 else []  # q = 0
     for i, (comp, lo, up, vec, it, _) in enumerate(runs):
-        decision, out_lo, out_up = _rounded_proof(g, comp, vec, num, den, strict)
+        sub = g if len(comp) == g.n else g.subgraph(comp)
+        decision, out_lo, out_up = _rounded_proof(sub, vec, num, den, strict, 1.0)
+        if decision is None:  # the clamp to 1 can sink a decaying tail
+            decision, out_lo, _ = _rounded_proof(sub, vec, num, den, strict, 0.0)
+        if decision is None and fresh:  # v0, v1 at any order: a star's v1 is exact
+            decision, _, out_lo, out_up, step = _exact_steps(sub, num, den, strict)
+            steps += step
         # keep the float bracket only where it agrees and provably holds q
         if decision is not None and not (decision == _settled(lo, up, threshold, strict)
                                          and lo <= out_lo and out_up <= up):
@@ -324,8 +324,8 @@ def decide_q_ge(g: Graph, threshold: float,
 
     True or False only when an integer Collatz-Wielandt certificate proves
     it (module docstring), so an exact tie such as q(K_n) = 2n - 2 comes
-    back True; None when neither v0 = d + 1, v1 = Q v0 nor the rounded
-    float iterate proves anything.  A NaN or infinite threshold raises
+    back True; None when neither the rounded float iterate nor v0 = d + 1,
+    v1 = Q v0 proves anything.  A NaN or infinite threshold raises
     ``ValueError``.
     """
     return _decide(g, threshold, False, tolerance)

@@ -4,8 +4,13 @@ import sys
 
 import pytest
 
-from qconn import ExtremalParams, build_A, complete, parse_graph6, write_graph6
+from qconn import (ExtremalParams, build_A, complete, empty, join, parse_graph6, q_index,
+                   write_graph6)
 from qconn.cli import main
+
+
+def star(n):
+    return join(complete(1), empty(n - 1))
 
 
 def run_cli(capsys, *argv):
@@ -108,6 +113,25 @@ def test_verify_lemma22_cli(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["holds"] and payload["bound"] == 204.0
     assert payload["q_upper"] >= 204  # the outward-rounded certificate bracket
+    # the lemma's equality case: q(star_40) = 40 = bound, with a Perron
+    # vector (39, 1, ..., 1) that no rounding at scale 2^30 holds exactly
+    f.write_text(write_graph6(star(40)) + "\n")
+    code, out = run_cli(capsys, "verify", "--lemma", "2.2", str(f), "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["holds"] is True and payload["bound"] == 40.0
+
+
+def test_verify_lemma22_cli_reports_undecided(tmp_path, capsys, monkeypatch):
+    from qconn import cli, path
+    monkeypatch.setattr(cli, "decide_q_gt", lambda g, t, tol: (None, q_index(g, tol)))
+    f = tmp_path / "p3.g6"
+    f.write_text(write_graph6(path(3)) + "\n")
+    code, out = run_cli(capsys, "verify", "--lemma", "2.2", str(f), "--json")
+    assert code == 0  # not a failure of the lemma
+    assert json.loads(out)["holds"] is None
+    code, out = run_cli(capsys, "verify", "--lemma", "2.2", str(f))
+    assert code == 0 and "holds=undecided" in out
 
 
 def test_sweep_cli(tmp_path, capsys):

@@ -384,6 +384,8 @@ EXACT_Q = (
     # regular graphs on the float path (n >= 32): the rounded iterate must tie
     + [(f"K{n}", complete(n), 2 * n - 2) for n in (40, 103)]
     + [(f"coC{n}", cycle(n).complement(), 2 * n - 6) for n in (40, 103)]
+    # Perron vector (n-1, 1, ..., 1): the rounded iterate fails, v1 = Q v0 ties
+    + [(f"star{n}", star(n), n) for n in (40, 103)]
 )
 
 
@@ -398,7 +400,9 @@ def test_exact_ties_at_integer_thresholds(g, t):
     ):
         got, est = decide(g, threshold)
         assert got is want, (decide.__name__, threshold)
-        assert est.iterations <= 2
+        # below order 32 v0 or v1 settles it with no float run; above, they
+        # are tried only after the float run, which q_index bounds
+        assert est.iterations <= 2 + (q_index(g).iterations if g.n >= 32 else 0)
         assert est.lower < t < est.upper  # outward rounded around the exact quotients
 
 
@@ -430,15 +434,38 @@ def test_float_path_decides_by_the_integer_test_not_the_bracket(monkeypatch):
     monkeypatch.undo()
 
     # K_40 with a pendant 12-vertex path: Perron entries fall to 1e-23 of
-    # the largest, so the rounded iterate holds zeros unless clamped to 1
-    g = disjoint_union(complete(40), path(12)).with_edge_added(39, 40)
+    # the largest, so the rounded iterate holds zeros unless clamped to 1.
+    # v0 = d + 1 would settle q < 79 too, so the fallback to v0, v1 is cut.
+    g = pendant_path_graph()
     q = q_index_dense_oracle(g)
     vector = q_index(g, 1e-12).vector
     assert vector.min() * 2**30 < 1e-6 * vector.max()
     returns((0.0, math.inf), vector)
+    monkeypatch.setattr(spectral, "_exact_steps",
+                        lambda g, num, den, strict: (None, None, -math.inf, math.inf, 2))
     got, est = decide_q_gt(g, 79)
     assert got is False
     assert est.lower <= q <= est.upper <= 79
+
+
+def pendant_path_graph():
+    return disjoint_union(complete(40), path(12)).with_edge_added(39, 40)
+
+
+def test_decaying_perron_vector_settles_the_lower_side():
+    # the clamp to 1 sinks the tail's quotients to about 4, so the clamped
+    # iterate proves nothing about q = 78.026 > 78; the unclamped one,
+    # nonnegative with Qv >= 78 v, proves it
+    g = pendant_path_graph()
+    q = q_index_dense_oracle(g)
+    for decide in (decide_q_ge, decide_q_gt):
+        got, est = decide(g, 78)
+        assert got is True, decide.__name__
+        assert 78 <= est.lower <= q <= est.upper
+    # Qv = Tv proves q >= T but not q > T, with or without the clamp
+    from qconn import spectral
+    for strict, want in ((False, True), (True, None)):
+        assert spectral._rounded_proof(complete(40), np.ones(40), 78, 1, strict, 0.0)[0] is want
 
 
 def test_exact_decisions_agree_with_eigvalsh_on_every_small_connected_graph():
