@@ -25,7 +25,7 @@ from .extremal import (
     make_member,
 )
 from .graphs import Graph, Graph6Error, write_graph6
-from .harness import CampaignConfig, CampaignError, CorpusError, read_corpus, run_campaign
+from .harness import RUNNERS, CampaignConfig, CampaignError, CorpusError, read_corpus, run_campaign
 from .spectral import (
     ORACLE_MAX_N,
     decide_q_gt,
@@ -227,12 +227,9 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qconn", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("input", nargs="?", default="-",
-                           help="graph6 file or '-' for stdin")
+    def add_common(p):
+        p.add_argument("input", nargs="?", default="-", help="graph6 file or '-' for stdin")
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--tol", type=float, default=1e-9, help="spectral tolerance")
 
     p = sub.add_parser("encode", help="edge list ('n' line then 'u v' lines) to graph6")
     p.add_argument("input", nargs="?", default="-")
@@ -244,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute-q", help="certified Q-index bracket")
     add_common(p)
+    p.add_argument("--tol", type=float, default=1e-9, help="spectral tolerance")
     p.add_argument("--oracle", action="store_true", help="also run the dense eigvalsh oracle")
     p.set_defaults(fn=_cmd_compute_q)
 
@@ -254,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="spectral k-connectivity verdict")
     add_common(p)
+    p.add_argument("--tol", type=float, default=1e-9, help="spectral tolerance")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=int, default=None,
                    help="explicit theorem parameter delta (default: largest usable)")
@@ -284,9 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("sweep", help="run a verification campaign")
-    p.add_argument("--mode", required=True,
-                   choices=("lemma22", "lemma23", "theorem15", "family-sweep",
-                            "counterexample", "certify-one"))
+    p.add_argument("--mode", required=True, choices=tuple(RUNNERS))
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--delta", type=int, default=3)
     p.add_argument("--n", type=int, default=None)

@@ -20,7 +20,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 import numpy as np
 
@@ -54,8 +54,6 @@ from .spectral import decide_q_gt, q_upper_bound_edges
 
 SCHEMA_VERSION = 1
 
-MODES = ("lemma22", "lemma23", "theorem15", "family-sweep", "counterexample", "certify-one")
-
 
 class CampaignError(ValueError):
     pass
@@ -67,6 +65,12 @@ class RandomGraphError(RuntimeError):
 
 @dataclass
 class CampaignConfig:
+    """One campaign's parameters; ``mode`` names a ``RUNNERS`` entry.
+
+    ``workers`` shards only ``lemma22``, ``lemma23`` and ``counterexample``
+    across processes; the other modes run serially and ignore it.
+    """
+
     mode: str
     k: int = 3
     delta: int = 3
@@ -89,8 +93,16 @@ class CampaignConfig:
 
 @dataclass
 class Report:
-    mode: str
-    config: dict
+    """A campaign's tally, and the one type that carries partial results.
+
+    ``record`` counts one tested case and, given a detail, keeps it as a
+    violation.  A sharded campaign fills one partial ``Report`` per task
+    (mode and config left empty; it pickles across the process pool), and
+    ``merge`` folds the partials into the campaign's report in task order.
+    """
+
+    mode: str = ""
+    config: dict = field(default_factory=dict)
     tested: int = 0
     passed: int = 0
     failed: int = 0
@@ -100,6 +112,42 @@ class Report:
     details: dict = field(default_factory=dict)
     items: List[dict] = field(default_factory=list)
     wall_clock_s: float = 0.0
+
+    def record(self, ok: Optional[bool], g: Optional[Graph] = None,
+               detail: Optional[str] = None, **extra) -> None:
+        """Count one case: True passed, False failed, None undecided.  A
+        ``detail`` also records the violation ``{"graph6", "detail",
+        **extra}``, with graph6 "" when there is no graph."""
+        self.tested += 1
+        if ok is None:
+            self.undecided += 1
+        elif ok:
+            self.passed += 1
+        else:
+            self.failed += 1
+        if detail is not None:
+            self.violations.append({"graph6": "" if g is None else write_graph6(g),
+                                    "detail": detail, **extra})
+
+    def skip(self) -> None:
+        """Count one case that could not be tested."""
+        self.tested += 1
+        self.skipped += 1
+
+    def merge(self, part: "Report") -> None:
+        """Add a partial report: counters and numbers in ``details`` are
+        summed, lists extended, and dict tallies summed key by key."""
+        for name in ("tested", "passed", "failed", "skipped", "undecided"):
+            setattr(self, name, getattr(self, name) + getattr(part, name))
+        self.violations.extend(part.violations)
+        self.items.extend(part.items)
+        for key, val in part.details.items():
+            if isinstance(val, dict):
+                tally = self.details.setdefault(key, {})
+                for name, count in val.items():
+                    tally[name] = tally.get(name, 0) + count
+            else:
+                self.details[key] = self.details.get(key, 0) + val
 
     def counters_consistent(self) -> bool:
         return self.tested == self.passed + self.failed + self.skipped + self.undecided
@@ -201,55 +249,38 @@ def stream_corpus(path: str, consumer: Callable[[Graph], None]) -> int:
 # -- campaign internals -----------------------------------------------------------
 
 
-def _merge_partials(report: Report, partials: Iterable[dict]) -> None:
-    for part in partials:
-        report.tested += part["tested"]
-        report.passed += part["passed"]
-        report.failed += part["failed"]
-        report.skipped += part["skipped"]
-        report.undecided += part["undecided"]
-        report.violations.extend(part["violations"])
-        for key, val in part.get("extras", {}).items():
-            if isinstance(val, (int, float)):
-                report.details[key] = report.details.get(key, 0) + val
-            else:
-                report.details.setdefault(key, []).extend(val)
-
-
-def _run_tasks(tasks: list, fn: Callable[[tuple], dict], workers: int) -> List[dict]:
+def _run_tasks(report: Report, tasks: list, fn: Callable[[tuple], Report], workers: int) -> None:
+    """Run ``fn`` on each task, across ``workers`` processes when more than
+    one, and merge the partial reports into ``report`` in task order."""
     if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, tasks))
+        parts = map(fn, tasks)
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(fn, tasks))
+    for part in parts:
+        report.merge(part)
 
 
-def _lemma22_chunk(task: tuple) -> dict:
+def _lemma22_chunk(task: tuple) -> Report:
     """One mask interval of the edge-bound sweep at a fixed order."""
     n, lo, hi, tolerance = task
-    part = {"tested": 0, "passed": 0, "failed": 0, "skipped": 0, "undecided": 0,
-            "violations": [], "extras": {"enumerated": 0}}
+    part = Report()
     slack = 1e-9
+    enumerated = 0
     for g in iter_labeled_graphs(n, mask_range=(lo, hi)):
-        part["extras"]["enumerated"] += 1
+        enumerated += 1
         if not is_connected(g) or g.n < 2:
             continue
-        part["tested"] += 1
         bound = q_upper_bound_edges(g)
         verdict, est = decide_q_gt(g, bound + slack, tolerance)
         if verdict is False:
-            part["passed"] += 1
-        elif verdict is True:
-            part["failed"] += 1
-            part["violations"].append({
-                "graph6": write_graph6(g),
-                "detail": f"q in [{est.lower:.12g}, {est.upper:.12g}] exceeds bound {bound:.12g}",
-            })
-        else:
-            part["undecided"] += 1
-            part["violations"].append({
-                "graph6": write_graph6(g),
-                "detail": f"undecided: bracket [{est.lower:.12g}, {est.upper:.12g}] vs bound {bound:.12g}",
-            })
+            part.record(True)
+            continue
+        bracket = f"[{est.lower:.12g}, {est.upper:.12g}]"
+        part.record(None if verdict is None else False, g,
+                    f"q in {bracket} exceeds bound {bound:.12g}" if verdict
+                    else f"undecided: bracket {bracket} vs bound {bound:.12g}")
+    part.details["enumerated"] = enumerated
     return part
 
 
@@ -264,8 +295,7 @@ def _run_lemma22(config: CampaignConfig, report: Report) -> None:
         total = count_labeled_graphs(n)
         for lo in range(0, total, chunk):
             tasks.append((n, lo, min(lo + chunk, total), config.tolerance))
-    partials = _run_tasks(tasks, _lemma22_chunk, config.workers)
-    _merge_partials(report, partials)
+    _run_tasks(report, tasks, _lemma22_chunk, config.workers)
     report.details["n_range"] = [max(2, config.n_min), config.n_max]
     report.details["slack"] = 1e-9
     by_order: dict = {}
@@ -323,26 +353,26 @@ def _k_connected_rows(rows: np.ndarray, n: int, k: int) -> np.ndarray:
     return ok
 
 
-def _lemma23_chunk(task: tuple) -> dict:
+def _lemma23_chunk(task: tuple) -> Report:
     """Ranks ``lo..hi-1`` of the complement subsets of one size in the
     density-condition sweep, in ``itertools.combinations`` order.
 
     The block is unranked and filtered as numpy bit rows, one uint8 per
-    vertex.  Graphs the batched k-connectivity test rejects, and every
-    ``_LEMMA23_STRIDE``-th graph of the size, take the scalar path in
-    rank order: ``is_k_connected_small`` must agree with the batch, the
-    stride graphs are cross-checked against max flow, and a graph that is
-    not k-connected must be a member of the extremal construction.
+    vertex, and counted as a block.  Graphs the batched k-connectivity
+    test rejects, and every ``_LEMMA23_STRIDE``-th graph of the size, take
+    the scalar path in rank order, one ``record`` each:
+    ``is_k_connected_small`` must agree with the batch, the stride graphs
+    are cross-checked against max flow, and a graph that is not
+    k-connected must be a member of the extremal construction.
     """
     n, k, delta, size, lo, hi = task
     npairs = n * (n - 1) // 2
     m = npairs - size
     rhs = npairs - (delta - k + 3) * (n - delta - 2)
     count = hi - lo
-    part = {"tested": count, "passed": 0, "failed": 0, "skipped": 0, "undecided": 0,
-            "violations": [], "extras": {"enumerated": count, "exceptional": 0, "crosschecked": 0}}
+    part = Report(details={"enumerated": count, "exceptional": 0, "crosschecked": 0})
     if not m > rhs:
-        part["skipped"] = count
+        part.tested = part.skipped = count
         return part
     pair_bits = _pair_words(n)
     complement = pair_bits[_unrank_combinations(npairs, size, lo, hi)]
@@ -352,55 +382,40 @@ def _lemma23_chunk(task: tuple) -> dict:
     # (it misses >= (delta+1)(n-delta-1) edges); connectivity is checked anyway
     keep = (_POPCOUNT[rows[:, :n]].min(axis=1) >= delta) & _k_connected_rows(rows, n, 1)
     kept = np.flatnonzero(keep)
-    part["skipped"] = count - len(kept)
     kernel_ok = _k_connected_rows(rows[kept], n, k)
     strided = (lo + kept + 1) % _LEMMA23_STRIDE == 0  # 1-based position within the size
     scalar = ~kernel_ok | strided
-    part["passed"] = len(kept) - int(scalar.sum())
+    part.skipped = count - len(kept)
+    part.passed = len(kept) - int(scalar.sum())
+    part.tested = part.skipped + part.passed
     for idx, batch_ok, stride_hit in zip(kept[scalar].tolist(), kernel_ok[scalar].tolist(),
                                          strided[scalar].tolist()):
         g = Graph.from_rows(rows[idx, :n].tolist(), validate=False)
         conn_ok, _ = is_k_connected_small(g, k)
         if conn_ok != batch_ok:
-            part["failed"] += 1
-            part["violations"].append({
-                "graph6": write_graph6(g),
-                "detail": "batched and subset connectivity checks disagree",
-            })
+            part.record(False, g, "batched and subset connectivity checks disagree")
             continue
         if stride_hit:
             flow_ok, _ = is_k_connected(g, k)
-            part["extras"]["crosschecked"] += 1
+            part.details["crosschecked"] += 1
             if flow_ok != conn_ok:
-                part["failed"] += 1
-                part["violations"].append({
-                    "graph6": write_graph6(g),
-                    "detail": "max-flow and subset connectivity checks disagree",
-                })
+                part.record(False, g, "max-flow and subset connectivity checks disagree")
                 continue
         if conn_ok:
-            part["passed"] += 1
+            part.record(True)
             continue
         member = classify_membership(g, k, delta, permissive=True)
-        if member is not None:
-            flow_ok, _ = is_k_connected(g, k)  # exceptions are rare: verify both routes
-            part["extras"]["crosschecked"] += 1
-            if flow_ok:
-                part["failed"] += 1
-                part["violations"].append({
-                    "graph6": write_graph6(g),
-                    "detail": "subset check found a cut the max-flow path rejects",
-                })
-                continue
-            part["extras"]["exceptional"] += 1
-            part["passed"] += 1
+        if member is None:
+            part.record(False, g, f"density condition met (m={m} > {rhs}) but neither "
+                                  f"{k}-connected nor a subgraph of the extremal construction")
+            continue
+        flow_ok, _ = is_k_connected(g, k)  # exceptions are rare: verify both routes
+        part.details["crosschecked"] += 1
+        if flow_ok:
+            part.record(False, g, "subset check found a cut the max-flow path rejects")
         else:
-            part["failed"] += 1
-            part["violations"].append({
-                "graph6": write_graph6(g),
-                "detail": f"density condition met (m={m} > {rhs}) but neither "
-                          f"{k}-connected nor a subgraph of the extremal construction",
-            })
+            part.details["exceptional"] += 1
+            part.record(True)
     return part
 
 
@@ -425,40 +440,28 @@ def _run_lemma23(config: CampaignConfig, report: Report) -> None:
         total = math.comb(npairs, size)
         for lo in range(0, total, _LEMMA23_BLOCK):
             tasks.append((n, k, delta, size, lo, min(lo + _LEMMA23_BLOCK, total)))
-    partials = _run_tasks(tasks, _lemma23_chunk, config.workers)
-    _merge_partials(report, partials)
+    _run_tasks(report, tasks, _lemma23_chunk, config.workers)
     report.details["n"] = n
     report.details["complement_budget"] = budget
     report.details["universe"] = sum(math.comb(npairs, c) for c in range(budget + 1))
 
 
-def _counterexample_chunk(task: tuple) -> dict:
+def _counterexample_chunk(task: tuple) -> Report:
     lo, hi, seed, n, k, p, floor, tolerance = task
-    part = {"tested": 0, "passed": 0, "failed": 0, "skipped": 0, "undecided": 0,
-            "violations": [], "extras": {"outcomes": []}}
-    outcomes: dict = {}
+    part = Report(details={"outcomes": {}})
+    outcomes = part.details["outcomes"]
     for idx in range(lo, hi):
         try:
             g = random_graph(n, p, min_degree_floor=floor, seed=(seed, idx))
         except RandomGraphError:
-            part["skipped"] += 1
-            part["tested"] += 1
+            part.skip()
             continue
         verdict = certifier.certify(g, k, tolerance=tolerance)
         outcomes[verdict.outcome] = outcomes.get(verdict.outcome, 0) + 1
-        part["tested"] += 1
         if verdict.theorem_violation:
-            part["failed"] += 1
-            part["violations"].append({
-                "graph6": write_graph6(g),
-                "detail": f"theorem violation at index {idx}",
-                "outcome": verdict.outcome,
-            })
-        elif verdict.outcome == certifier.UNDECIDED_NUMERIC:
-            part["undecided"] += 1
+            part.record(False, g, f"theorem violation at index {idx}", outcome=verdict.outcome)
         else:
-            part["passed"] += 1
-    part["extras"]["outcomes"] = [outcomes]
+            part.record(None if verdict.outcome == certifier.UNDECIDED_NUMERIC else True)
     return part
 
 
@@ -470,14 +473,8 @@ def _run_counterexample(config: CampaignConfig, report: Report) -> None:
     for lo in range(0, config.count, chunk):
         tasks.append((lo, min(lo + chunk, config.count), config.seed, n,
                       config.k, config.edge_probability, floor, config.tolerance))
-    partials = _run_tasks(tasks, _counterexample_chunk, config.workers)
-    merged_outcomes: dict = {}
-    for part in partials:
-        for hist in part["extras"].pop("outcomes"):
-            for key, val in hist.items():
-                merged_outcomes[key] = merged_outcomes.get(key, 0) + val
-    _merge_partials(report, partials)
-    report.details["outcomes"] = dict(sorted(merged_outcomes.items()))
+    _run_tasks(report, tasks, _counterexample_chunk, config.workers)
+    report.details["outcomes"] = dict(sorted(report.details.get("outcomes", {}).items()))
     report.details["n"] = n
     report.details["min_degree_floor"] = floor
 
@@ -499,27 +496,16 @@ def _run_theorem15(config: CampaignConfig, report: Report) -> None:
             expected.append((f"A2 {list(rep)}", member.graph, certifier.CONDITION_NOT_MET))
     for label, g, want in expected:
         verdict = certifier.certify(g, config.k, tolerance=config.tolerance)
-        report.tested += 1
-        item = {"label": label, "outcome": verdict.outcome, "expected": want}
-        report.items.append(item)
+        report.items.append({"label": label, "outcome": verdict.outcome, "expected": want})
         if verdict.theorem_violation:
-            report.failed += 1
-            report.violations.append({"graph6": write_graph6(g), "detail": f"violation on {label}"})
+            report.record(False, g, f"violation on {label}")
         elif verdict.outcome == want:
-            report.passed += 1
+            report.record(True)
         else:
-            report.failed += 1
-            report.violations.append({
-                "graph6": write_graph6(g),
-                "detail": f"{label}: outcome {verdict.outcome}, expected {want}",
-            })
+            report.record(False, g, f"{label}: outcome {verdict.outcome}, expected {want}")
     chain = certifier.verify_theorem_proof_chain(params)
-    report.tested += 1
-    if chain.chain_holds and chain.identity_ok and chain.order_ge_F:
-        report.passed += 1
-    else:
-        report.failed += 1
-        report.violations.append({"graph6": "", "detail": "proof chain failed"})
+    holds = chain.chain_holds and chain.identity_ok and chain.order_ge_F
+    report.record(holds, detail=None if holds else "proof chain failed")
     report.details["proof_chain"] = chain.to_dict()
 
 
@@ -532,8 +518,7 @@ def _run_family_sweep(config: CampaignConfig, report: Report) -> None:
     for rep in enumerate_Eprime_orbits(params, params.eprime_bound + 1):
         member = make_member(params, rep)
         if not member.hypothesis_ok:
-            report.skipped += 1
-            report.tested += 1
+            report.skip()
             continue
         reports.append(certifier.check_lemma_3_2(params, rep, config.tolerance))
         reports.append(certifier.check_lemma_3_3(member))
@@ -545,12 +530,7 @@ def _run_family_sweep(config: CampaignConfig, report: Report) -> None:
         reports.append(rep)
     reports.append(certifier.check_lemma_3_8(params, config.tolerance))
     for rep in reports:
-        report.tested += 1
-        if rep.passed:
-            report.passed += 1
-        else:
-            report.failed += 1
-            report.violations.append({"graph6": "", "detail": f"lemma {rep.lemma} failed"})
+        report.record(rep.passed, detail=None if rep.passed else f"lemma {rep.lemma} failed")
         report.items.append(rep.to_dict())
 
 
@@ -560,20 +540,17 @@ def _run_certify_one(config: CampaignConfig, report: Report) -> None:
 
     def certify_one(g: Graph) -> None:
         verdict = certifier.certify(g, config.k, tolerance=config.tolerance)
-        report.tested += 1
         report.items.append({"graph6": write_graph6(g), **verdict.to_dict()})
         if verdict.theorem_violation:
-            report.failed += 1
-            report.violations.append({"graph6": write_graph6(g), "detail": "theorem violation"})
-        elif verdict.outcome == certifier.UNDECIDED_NUMERIC:
-            report.undecided += 1
+            report.record(False, g, "theorem violation")
         else:
-            report.passed += 1
+            report.record(None if verdict.outcome == certifier.UNDECIDED_NUMERIC else True)
 
     stream_corpus(config.input_path, certify_one)
 
 
-_RUNNERS = {
+# the one mode table: ``CampaignConfig.mode`` and ``qconn sweep --mode`` name its keys
+RUNNERS = {
     "lemma22": _run_lemma22,
     "lemma23": _run_lemma23,
     "theorem15": _run_theorem15,
@@ -584,11 +561,11 @@ _RUNNERS = {
 
 
 def run_campaign(config: CampaignConfig) -> Report:
-    if config.mode not in _RUNNERS:
-        raise CampaignError(f"unknown mode {config.mode!r}; choose from {MODES}")
+    if config.mode not in RUNNERS:
+        raise CampaignError(f"unknown mode {config.mode!r}; choose from {tuple(RUNNERS)}")
     report = Report(mode=config.mode, config=config.to_dict())
     start = time.perf_counter()
-    _RUNNERS[config.mode](config, report)
+    RUNNERS[config.mode](config, report)
     report.wall_clock_s = time.perf_counter() - start
     if config.output_path:
         with open(config.output_path, "w") as fh:

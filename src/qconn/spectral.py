@@ -134,18 +134,17 @@ def _iterate_small(rows, degs, idx, tol, max_iter, stop):
     return min(best_lo, best_up), best_up, v, it, False
 
 
-def _iterate_np(adj, d, tol, max_iter, stop):
-    """Same iteration, numpy path, on a dense boolean component adjacency.
-
-    The float64 adjacency is built once per call; each step then runs in
-    preallocated buffers through ufuncs bound once, since at desk scale a
-    step costs more in numpy dispatch than in arithmetic.  The norm is
-    ``sqrt(w.dot(w))``, which is exactly what ``np.linalg.norm`` computes
-    for a real vector.  The diagonal stays a separate term added after the
-    matmul: folding it into the matrix would reorder each row sum and move
-    the brackets, and so the reported bytes, by an ulp.
+def _iterate_np(a, d, tol, max_iter, stop):
+    """Same iteration, numpy path, on a component's float64 adjacency ``a``,
+    used as given: ``_component_runs`` builds it once for this run and the
+    integer proof after it.  Each step runs in preallocated buffers through
+    ufuncs bound once, since at desk scale a step costs more in numpy
+    dispatch than in arithmetic.  The norm is ``sqrt(w.dot(w))``, which is
+    exactly what ``np.linalg.norm`` computes for a real vector.  The
+    diagonal stays a separate term added after the matmul: folding it into
+    the matrix would reorder each row sum and move the brackets, and so the
+    reported bytes, by an ulp.
     """
-    a = adj.astype(np.float64)
     v = d + 1.0
     v /= math.sqrt(v.dot(v))
     w = np.empty_like(v)
@@ -176,17 +175,19 @@ def _iterate_np(adj, d, tol, max_iter, stop):
 
 
 def _component_runs(g, tol, max_iter, stop=None) -> list:
-    """(comp, lo, up, vec, iters, converged) of the float run on each component."""
+    """(comp, lo, up, vec, iters, converged, a) of the float run on each
+    component; ``a`` is the float64 adjacency the numpy path ran on, else None."""
     runs = []
     for comp in components(g):
         if len(comp) == 1:  # isolated vertex: eigenvalue 0
-            runs.append((comp, 0.0, 0.0, [1.0], 0, True))
+            runs.append((comp, 0.0, 0.0, [1.0], 0, True, None))
         elif len(comp) < _SMALL_N and g.n < _SMALL_N:
-            runs.append((comp, *_iterate_small(g.rows, g.degrees(), comp, tol, max_iter, stop)))
+            runs.append((comp, *_iterate_small(g.rows, g.degrees(), comp, tol, max_iter, stop),
+                         None))
         else:
             sub = g if len(comp) == g.n else g.subgraph(comp)
-            runs.append((comp, *_iterate_np(sub.adjacency_bool(), sub.degree_array(),
-                                            tol, max_iter, stop)))
+            a = sub.adjacency_bool().astype(np.float64)
+            runs.append((comp, *_iterate_np(a, sub.degree_array(), tol, max_iter, stop), a))
     return runs
 
 
@@ -252,16 +253,19 @@ def _exact_steps(g: Graph, num: int, den: int, strict: bool):
     return None, v, -math.inf, math.inf, 2
 
 
-def _rounded_proof(sub: Graph, vec, num: int, den: int, strict: bool, floor: float):
-    """The integer test on the iterate ``vec`` of the connected ``sub``,
-    rounded to integers v >= ``floor`` with largest entry ``_CERT_SCALE``:
-    the decision and v's extreme quotients rounded one ulp outward.  Qv is
-    exact in float64 (entries below 2n * 2^30 < 2^53), the excess while it
-    stays below 2^52.  With ``floor`` 0, Qv >= Tv (and Qv != Tv) proves
-    q >= T (q > T) via the positive left Perron vector; no upper bound."""
+def _rounded_proof(sub: Graph, vec, num: int, den: int, strict: bool, floor: float, a=None):
+    """The integer test on the iterate ``vec`` of the connected ``sub``
+    (float64 adjacency ``a``, built here when None), rounded to integers
+    v >= ``floor`` with largest entry ``_CERT_SCALE``: the decision and v's
+    extreme quotients rounded one ulp outward.  Qv is exact in float64
+    (entries below 2n * 2^30 < 2^53), the excess while it stays below 2^52.
+    With ``floor`` 0, Qv >= Tv (and Qv != Tv) proves q >= T (q > T) via the
+    positive left Perron vector; no upper bound."""
     x = np.asarray(vec, dtype=np.float64)
     x = np.maximum(np.rint(x * (_CERT_SCALE / x.max())), floor)
-    y = sub.adjacency_bool().astype(np.float64).dot(x) + sub.degree_array() * x
+    if a is None:
+        a = sub.adjacency_bool().astype(np.float64)
+    y = a.dot(x) + sub.degree_array() * x
     if den * int(y.max() + 1) < 2**52 and abs(num) * int(x.max()) < 2**52:
         excess = y * den - x * num
     else:  # in Python ints
@@ -299,18 +303,18 @@ def _decide(g: Graph, threshold, strict: bool,
     runs = _component_runs(g, tolerance, DEFAULT_MAX_ITER,
                            lambda lo, up: _settled(lo, up, threshold, strict) is not None)
     decisions = [_settled(0, 0, threshold, strict)] if g.n == 0 else []  # q = 0
-    for i, (comp, lo, up, vec, it, _) in enumerate(runs):
+    for i, (comp, lo, up, vec, it, _, a) in enumerate(runs):
         sub = g if len(comp) == g.n else g.subgraph(comp)
-        decision, out_lo, out_up = _rounded_proof(sub, vec, num, den, strict, 1.0)
+        decision, out_lo, out_up = _rounded_proof(sub, vec, num, den, strict, 1.0, a)
         if decision is None:  # the clamp to 1 can sink a decaying tail
-            decision, out_lo, _ = _rounded_proof(sub, vec, num, den, strict, 0.0)
+            decision, out_lo, _ = _rounded_proof(sub, vec, num, den, strict, 0.0, a)
         if decision is None and fresh:  # v0, v1 at any order: a star's v1 is exact
             decision, _, out_lo, out_up, step = _exact_steps(sub, num, den, strict)
             steps += step
         # keep the float bracket only where it agrees and provably holds q
         if decision is not None and not (decision == _settled(lo, up, threshold, strict)
                                          and lo <= out_lo and out_up <= up):
-            runs[i] = (comp, out_lo, out_up, vec, it, out_up - out_lo <= tolerance)
+            runs[i] = (comp, out_lo, out_up, vec, it, out_up - out_lo <= tolerance, a)
         decisions.append(decision)
     est = _estimate(g, runs, tolerance)
     est.iterations += steps

@@ -33,6 +33,14 @@ def test_encode_decode_round_trip(tmp_path, capsys):
     assert payload == {"n": 3, "m": 2, "edges": [[0, 1], [1, 2]]}
 
 
+def test_tol_only_where_it_is_read():
+    # decode and kappa run no spectral code
+    for verb in ("decode", "kappa"):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--tol", "1e-3", "-"])
+        assert exc.value.code == 2
+
+
 def test_compute_q(tmp_path, capsys):
     f = tmp_path / "k4.g6"
     f.write_text(write_graph6(complete(4)) + "\n")

@@ -325,14 +325,39 @@ def test_wall_clock_is_monotonic_and_kept_out_of_canonical_json(monkeypatch):
 
 
 def test_workers_merge_deterministic():
-    base = CampaignConfig(mode="lemma22", n_min=2, n_max=4, workers=1)
-    sharded = CampaignConfig(mode="lemma22", n_min=2, n_max=4, workers=2)
-    a = run_campaign(base)
-    b = run_campaign(sharded)
-    # worker count is config echo; the measured content must be identical
-    da, db = a.to_dict(include_timing=False), b.to_dict(include_timing=False)
-    da.pop("config"), db.pop("config")
-    assert da == db
+    # the counterexample run also merges an outcome histogram, key by key,
+    # from 4 chunks at one worker and 8 at two
+    for config in (dict(mode="lemma22", n_min=2, n_max=4),
+                   dict(mode="counterexample", n=103, count=40, seed=5, edge_probability=0.98)):
+        a = run_campaign(CampaignConfig(**config, workers=1))
+        b = run_campaign(CampaignConfig(**config, workers=2))
+        # worker count is config echo; the measured content must be identical
+        da, db = a.to_dict(include_timing=False), b.to_dict(include_timing=False)
+        da.pop("config"), db.pop("config")
+        assert da == db
+    assert a.details["outcomes"] == {"CONDITION_NOT_MET": 24, "K_CONNECTED_CERTIFIED": 16}
+
+
+def test_undecided_cases_are_counted_as_undecided(tmp_path, monkeypatch):
+    from qconn import certifier, q_index
+    undecided = lambda g, threshold, tol: (None, q_index(g, tol))
+    monkeypatch.setattr(certifier, "decide_q_ge", undecided)
+    corpus = tmp_path / "k103.g6"
+    corpus.write_text(write_graph6(complete(103)) + "\n")
+    report = run_campaign(CampaignConfig(mode="certify-one", k=3, input_path=str(corpus)))
+    assert (report.tested, report.undecided, report.passed) == (1, 1, 0)
+    assert report.violations == []
+    report = run_campaign(CampaignConfig(mode="counterexample", n=103, count=2, seed=5,
+                                         edge_probability=0.98))
+    assert (report.tested, report.undecided, report.passed) == (2, 2, 0)
+    assert report.details["outcomes"] == {"UNDECIDED_NUMERIC": 2}
+
+    monkeypatch.setattr(harness, "decide_q_gt", undecided)
+    report = run_campaign(CampaignConfig(mode="lemma22", n_max=3))
+    assert report.counters_consistent()
+    assert (report.tested, report.undecided, report.passed, report.failed) == (5, 5, 0, 0)
+    assert len(report.violations) == 5
+    assert all(v["detail"].startswith("undecided:") for v in report.violations)
 
 
 def test_certify_one_replays_condition_not_met(tmp_path):
