@@ -28,6 +28,7 @@ from .graphs import Graph, Graph6Error, write_graph6
 from .harness import RUNNERS, CampaignConfig, CampaignError, CorpusError, read_corpus, run_campaign
 from .spectral import (
     ORACLE_MAX_N,
+    _oracle_slack,
     decide_q_gt,
     q_index,
     q_index_dense_oracle,
@@ -73,20 +74,25 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_compute_q(args) -> int:
+    worst = 0
     for g in read_corpus(args.input):
         est = q_index(g, args.tol)
         payload = est.to_dict()
         payload["n"] = g.n
         payload["m"] = g.m
         payload["edge_bound"] = q_upper_bound_edges(g) if g.n >= 2 else None
-        if args.oracle and g.n <= ORACLE_MAX_N:
-            payload["oracle"] = q_index_dense_oracle(g)
         text = (f"n={g.n} m={g.m} q in [{est.lower:.12g}, {est.upper:.12g}] "
                 f"iters={est.iterations} converged={est.converged}")
-        if "oracle" in payload:
-            text += f" oracle={payload['oracle']:.12g}"
+        if args.oracle and g.n <= ORACLE_MAX_N:
+            oracle, slack = q_index_dense_oracle(g), _oracle_slack(g)
+            inside = est.lower - slack <= oracle <= est.upper + slack
+            payload["oracle"] = oracle
+            payload["oracle_inside"] = inside
+            text += f" oracle={oracle:.12g} inside={inside}"
+            if not inside:
+                worst = 1
         _emit(payload, args.json, text)
-    return 0
+    return worst
 
 
 def _cmd_kappa(args) -> int:
@@ -242,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compute-q", help="certified Q-index bracket")
     add_common(p)
     p.add_argument("--tol", type=float, default=1e-9, help="spectral tolerance")
-    p.add_argument("--oracle", action="store_true", help="also run the dense eigvalsh oracle")
+    p.add_argument("--oracle", action="store_true",
+                   help="also run the dense eigvalsh oracle; exit 1 if it lies outside a bracket")
     p.set_defaults(fn=_cmd_compute_q)
 
     p = sub.add_parser("kappa", help="vertex connectivity with witness cut")

@@ -6,9 +6,12 @@ quotients
 
     min_i (Qv)_i / v_i   <=   q(G)   <=   max_i (Qv)_i / v_i
 
-bracket q(G).  Power iteration tightens the bracket and the estimate
-keeps the running best bounds; its float quotients carry no rounding
-allowance, so no threshold test rests on them alone.
+bracket q(G), however v was found.  Power iteration tightens the bracket
+and the estimate keeps the running best bounds.  From order ``_SMALL_N``
+on, the iteration switches after ``_POWER_STEPS`` power steps to Noda's
+shift-inverted steps, which keep v positive and converge quadratically
+(``_iterate_np``).  The float quotients carry no rounding allowance, so no
+threshold test rests on them alone.
 Q is the only operator here: the paper's condition is on q(G) alone.
 
 Each True or False of ``decide_q_ge`` and ``decide_q_gt`` is an integer
@@ -41,6 +44,7 @@ DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
 _SMALL_N = 32  # below this, plain-Python iteration beats numpy call overhead
 _CERT_SCALE = float(1 << 30)  # largest entry of a float iterate rounded to integers
+_POWER_STEPS = 32  # numpy-path power steps before Noda steps; a solve costs ~15 at n = 103
 
 
 @dataclass
@@ -135,15 +139,31 @@ def _iterate_small(rows, degs, idx, tol, max_iter, stop):
 
 
 def _iterate_np(a, d, tol, max_iter, stop):
-    """Same iteration, numpy path, on a component's float64 adjacency ``a``,
-    used as given: ``_component_runs`` builds it once for this run and the
-    integer proof after it.  Each step runs in preallocated buffers through
-    ufuncs bound once, since at desk scale a step costs more in numpy
-    dispatch than in arithmetic.  The norm is ``sqrt(w.dot(w))``, which is
-    exactly what ``np.linalg.norm`` computes for a real vector.  The
-    diagonal stays a separate term added after the matmul: folding it into
-    the matrix would reorder each row sum and move the brackets, and so the
-    reported bytes, by an ulp.
+    """Same iteration, numpy path, on a connected component's float64
+    adjacency ``a``, used as given: ``_component_runs`` builds it once for
+    this run and the integer proof after it.
+
+    The first ``_POWER_STEPS`` steps are power steps.  Each later iterate
+    is a Noda step: with sigma the current iterate v's largest quotient,
+    solve (sigma I - Q) x = v and normalize x.  Since sigma >= q, sigma I - Q
+    is a nonsingular M-matrix whose inverse is positive on a connected
+    graph, so x > 0, and sigma falls to q quadratically (Noda, Numer. Math.
+    1971; Elsner, Linear Algebra Appl. 1976).  A singular solve or an x not
+    strictly positive turns that step and every later one into a power
+    step; a Noda iterate that tightens neither bound ends the run, so a
+    tolerance below float resolution stops within a few steps.  Either
+    way the quotients of a positive vector bracket q.  ``iterations``
+    counts quotient evaluations (one matvec each), power and Noda alike;
+    each Noda step adds one dense solve.
+
+    The power steps run in preallocated buffers through ufuncs bound once,
+    since at desk scale a step costs more in numpy dispatch than in
+    arithmetic.  The norm is ``sqrt(w.dot(w))``, which is exactly what
+    ``np.linalg.norm`` computes for a real vector.  The diagonal stays a
+    separate term added after the matmul: folding it into the matrix would
+    reorder each row sum and move the brackets, and so the reported bytes,
+    by an ulp.  The iterate returned is one power step past the last one
+    whose quotients were taken.
     """
     v = d + 1.0
     v /= math.sqrt(v.dot(v))
@@ -153,6 +173,7 @@ def _iterate_np(a, d, tol, max_iter, stop):
     multiply, add, divide = np.multiply, np.add, np.divide
     least, most = np.minimum.reduce, np.maximum.reduce
     best_lo, best_up = 0.0, math.inf
+    noda, solved = True, False  # Noda steps still allowed; v came from one
     it = 0
     while it < max_iter:
         it += 1
@@ -162,32 +183,47 @@ def _iterate_np(a, d, tol, max_iter, stop):
         divide(w, v, out=quot)
         lo = float(least(quot))
         up = float(most(quot))
+        stalled = solved and lo <= best_lo and up >= best_up
         if lo > best_lo:
             best_lo = lo
         if up < best_up:
             best_up = up
-        divide(w, sqrt(dot(w)), out=v)
-        if best_up - best_lo <= tol:
-            return min(best_lo, best_up), best_up, v, it, True
-        if stop is not None and stop(best_lo, best_up):
-            return min(best_lo, best_up), best_up, v, it, False
+        done = best_up - best_lo <= tol
+        if done or stalled or (stop is not None and stop(best_lo, best_up)):
+            divide(w, sqrt(dot(w)), out=v)
+            return min(best_lo, best_up), best_up, v, it, done
+        solved = False
+        if noda and it >= _POWER_STEPS:
+            shifted = -a
+            np.fill_diagonal(shifted, up - d)
+            try:
+                x = np.linalg.solve(shifted, v)
+            except np.linalg.LinAlgError:
+                x = None
+            solved = x is not None and least(x) > 0  # False on NaN too
+            noda = solved
+        if solved:
+            divide(x, sqrt(x.dot(x)), out=v)
+        else:
+            divide(w, sqrt(dot(w)), out=v)
     return min(best_lo, best_up), best_up, v, it, False
 
 
 def _component_runs(g, tol, max_iter, stop=None) -> list:
-    """(comp, lo, up, vec, iters, converged, a) of the float run on each
-    component; ``a`` is the float64 adjacency the numpy path ran on, else None."""
+    """(comp, lo, up, vec, iters, converged, sub, a) of the float run on each
+    component; ``sub`` is the component's graph and ``a`` its float64
+    adjacency where the numpy path ran, else both None."""
     runs = []
     for comp in components(g):
         if len(comp) == 1:  # isolated vertex: eigenvalue 0
-            runs.append((comp, 0.0, 0.0, [1.0], 0, True, None))
+            runs.append((comp, 0.0, 0.0, [1.0], 0, True, None, None))
         elif len(comp) < _SMALL_N and g.n < _SMALL_N:
             runs.append((comp, *_iterate_small(g.rows, g.degrees(), comp, tol, max_iter, stop),
-                         None))
+                         None, None))
         else:
             sub = g if len(comp) == g.n else g.subgraph(comp)
             a = sub.adjacency_bool().astype(np.float64)
-            runs.append((comp, *_iterate_np(a, sub.degree_array(), tol, max_iter, stop), a))
+            runs.append((comp, *_iterate_np(a, sub.degree_array(), tol, max_iter, stop), sub, a))
     return runs
 
 
@@ -303,8 +339,9 @@ def _decide(g: Graph, threshold, strict: bool,
     runs = _component_runs(g, tolerance, DEFAULT_MAX_ITER,
                            lambda lo, up: _settled(lo, up, threshold, strict) is not None)
     decisions = [_settled(0, 0, threshold, strict)] if g.n == 0 else []  # q = 0
-    for i, (comp, lo, up, vec, it, _, a) in enumerate(runs):
-        sub = g if len(comp) == g.n else g.subgraph(comp)
+    for i, (comp, lo, up, vec, it, _, sub, a) in enumerate(runs):
+        if sub is None:
+            sub = g if len(comp) == g.n else g.subgraph(comp)
         decision, out_lo, out_up = _rounded_proof(sub, vec, num, den, strict, 1.0, a)
         if decision is None:  # the clamp to 1 can sink a decaying tail
             decision, out_lo, _ = _rounded_proof(sub, vec, num, den, strict, 0.0, a)
@@ -314,7 +351,7 @@ def _decide(g: Graph, threshold, strict: bool,
         # keep the float bracket only where it agrees and provably holds q
         if decision is not None and not (decision == _settled(lo, up, threshold, strict)
                                          and lo <= out_lo and out_up <= up):
-            runs[i] = (comp, out_lo, out_up, vec, it, out_up - out_lo <= tolerance, a)
+            runs[i] = (comp, out_lo, out_up, vec, it, out_up - out_lo <= tolerance, sub, a)
         decisions.append(decision)
     est = _estimate(g, runs, tolerance)
     est.iterations += steps
@@ -359,6 +396,13 @@ def q_index_dense_oracle(g: Graph) -> float:
     mat = g.adjacency_bool().astype(np.float64)
     mat[np.diag_indices(g.n)] = g.degree_array()
     return float(np.linalg.eigvalsh(mat)[-1])
+
+
+def _oracle_slack(g: Graph) -> float:
+    """How far a float bracket may sit from the oracle by rounding alone: a
+    few ulps per term of an n-term sum at the scale of Q's largest row sum,
+    which bounds q."""
+    return 4.0 * g.n * math.ulp(1.0) * max(1.0, 2.0 * max(g.degrees(), default=0))
 
 
 # -- eigen-identities and the edge bound ------------------------------------

@@ -2,6 +2,7 @@ import io
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from qconn import (ExtremalParams, build_A, complete, empty, join, parse_graph6, q_index,
@@ -49,7 +50,24 @@ def test_compute_q(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["lower"] == pytest.approx(6.0, abs=1e-9)
     assert payload["oracle"] == pytest.approx(6.0, abs=1e-8)
-    assert payload["converged"]
+    assert payload["converged"] and payload["oracle_inside"] is True
+
+
+def test_compute_q_oracle_outside_the_bracket_fails(tmp_path, capsys, monkeypatch):
+    from qconn import cli
+    from qconn.spectral import SpectralEstimate
+
+    f = tmp_path / "k4.g6"
+    f.write_text(write_graph6(complete(4)) + "\n")  # q = 6
+    for lower, upper, code_want in ((6.0, 6.0, 0), (5.0, 5.9, 1), (6.1, 7.0, 1)):
+        monkeypatch.setattr(cli, "q_index", lambda g, tol: SpectralEstimate(
+            lower, upper, np.full(g.n, 0.5), 1, True, tol))
+        code, out = run_cli(capsys, "compute-q", "--oracle", str(f))
+        assert code == code_want, (lower, upper)
+        assert f"inside={not code_want}" in out
+    # without --oracle nothing is compared
+    code, _ = run_cli(capsys, "compute-q", str(f))
+    assert code == 0
 
 
 def test_kappa(tmp_path, capsys):

@@ -115,14 +115,18 @@ def test_trivial_graphs():
 
 
 def reference_iterate_np(adj, d, tol, max_iter, stop):
-    """The numpy power step written plainly: ``np.linalg.norm`` and
-    ``ndarray.min``/``max``.  A faster step must match it bit for bit."""
+    """The numpy step written plainly: ``np.linalg.norm``, ``ndarray.min``/
+    ``max`` and, after ``_POWER_STEPS`` power steps, Noda steps that build
+    sigma I - Q afresh.  A faster step must match it bit for bit."""
+    from qconn.spectral import _POWER_STEPS
+
     a = adj.astype(np.float64)
     v = d + 1.0
     v /= np.linalg.norm(v)
     w = np.empty_like(v)
     quot = np.empty_like(v)
     best_lo, best_up = 0.0, math.inf
+    noda, solved = True, False
     it = 0
     while it < max_iter:
         it += 1
@@ -132,15 +136,27 @@ def reference_iterate_np(adj, d, tol, max_iter, stop):
         np.divide(w, v, out=quot)
         lo = float(quot.min())
         up = float(quot.max())
+        tightened = lo > best_lo or up < best_up
         if lo > best_lo:
             best_lo = lo
         if up < best_up:
             best_up = up
-        np.divide(w, np.linalg.norm(w), out=v)
         if best_up - best_lo <= tol:
-            return min(best_lo, best_up), best_up, v, it, True
+            return min(best_lo, best_up), best_up, w / np.linalg.norm(w), it, True
+        if solved and not tightened:  # a Noda step that tightens neither bound
+            return min(best_lo, best_up), best_up, w / np.linalg.norm(w), it, False
         if stop is not None and stop(best_lo, best_up):
-            return min(best_lo, best_up), best_up, v, it, False
+            return min(best_lo, best_up), best_up, w / np.linalg.norm(w), it, False
+        solved = False
+        if noda and it >= _POWER_STEPS:
+            shifted = up * np.eye(len(v)) - (a + np.diag(d))
+            try:
+                x = np.linalg.solve(shifted, v)
+                solved = bool((x > 0).all())
+            except np.linalg.LinAlgError:
+                pass
+            noda = solved  # once a Noda step fails, power steps for good
+        v = x / np.linalg.norm(x) if solved else w / np.linalg.norm(w)
     return min(best_lo, best_up), best_up, v, it, False
 
 
@@ -237,6 +253,110 @@ def test_power_step_matches_reference_bit_for_bit(monkeypatch):
     for g, (decision, est) in zip(members, got_members):
         want_decision, want = decide_q_ge(g, threshold)
         assert decision == want_decision and same_estimate(est, want)
+
+
+def test_runs_settled_within_the_power_steps_keep_their_bytes(monkeypatch):
+    # the Noda steps start after step _POWER_STEPS, so a run that settles by
+    # then returns exactly what the power-only kernel returns
+    from qconn import spectral
+
+    params = ExtremalParams(103, 3, 3)
+    threshold = float(q_threshold(params))
+    members = [make_member(params, rep).graph
+               for size in (1, 2) for rep in enumerate_Eprime_orbits(params, size)]
+
+    def estimates():
+        return ([decide_q_ge(g, threshold)[1] for g in members]
+                + [q_index(g, 1e-6) for g in power_step_graphs()])
+
+    got = estimates()
+    power_steps = spectral._POWER_STEPS
+    monkeypatch.setattr(spectral, "_POWER_STEPS", 10**9)
+    want = estimates()
+    settled = [same_estimate(a, b) for a, b in zip(got, want) if b.iterations <= power_steps]
+    assert len(settled) > len(members) and all(settled)
+    assert not all(same_estimate(a, b) for a, b in zip(got, want))  # the rest moved
+
+
+def noda_graphs():
+    """Graphs whose power iteration is slow (lambda_2 / q near 1), so their
+    runs reach the Noda steps; one Perron vector falls to 1e-114."""
+    seeded = power_step_graphs()
+    return {
+        "P100": path(100),
+        "P200": path(200),
+        "K40+P60": disjoint_union(complete(40), path(60)).with_edge_added(39, 40),
+        "gnp103-path": seeded[2],  # n = 103, p = 0.04 plus a Hamiltonian path
+        "gnp103-debris": seeded[6],  # n = 103, p = 0.04: a giant component and debris
+    }
+
+
+@pytest.mark.parametrize("name", list(noda_graphs()))
+def test_noda_steps_converge_around_eigvalsh(name):
+    from qconn.spectral import _POWER_STEPS, _oracle_slack
+
+    g = noda_graphs()[name]
+    est = q_index(g)
+    q, slack = q_index_dense_oracle(g), _oracle_slack(g)
+    assert est.converged
+    assert est.lower - slack <= q <= est.upper + slack
+    # positive on one whole component, zero elsewhere
+    support = [c for c in components(g) if est.vector[c[0]] != 0]
+    assert len(support) == 1 and np.all(est.vector[list(support[0])] > 0)
+    assert np.count_nonzero(est.vector) == len(support[0])
+    assert est.iterations <= _POWER_STEPS + 8
+
+
+def test_noda_steps_stop_when_they_stall():
+    # 1e-18 is below float resolution at q ~ 4: the run must end, not run on
+    from qconn.spectral import _POWER_STEPS, _oracle_slack
+
+    g = path(100)
+    est = q_index(g, 1e-18)
+    assert not est.converged
+    assert est.iterations <= _POWER_STEPS + 16
+    slack = _oracle_slack(g)
+    assert est.lower - slack <= q_index_dense_oracle(g) <= est.upper + slack
+
+
+@pytest.mark.parametrize("failure", ["singular", "not positive"])
+def test_failed_noda_step_falls_back_to_power_steps_for_good(monkeypatch, failure):
+    from qconn import spectral
+
+    g = path(100)
+    monkeypatch.setattr(spectral, "_POWER_STEPS", 10**9)
+    want = q_index(g)  # power steps only
+    monkeypatch.undo()
+    real_solve, calls = np.linalg.solve, []
+
+    def solve(m, v):
+        calls.append(m.shape)
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        x = real_solve(m, v)
+        x[0] = -x[0]  # as if rounding had pushed sigma below q
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    got = q_index(g)
+    assert calls == [(100, 100)]  # one try, then never again
+    assert same_estimate(got, want) and want.converged
+
+
+def test_decider_builds_each_component_subgraph_once(monkeypatch):
+    g = disjoint_union(complete(20), complete(20))  # n = 40: the numpy path
+    real, calls = Graph.subgraph, []
+
+    def subgraph(self, vertices):
+        calls.append(tuple(vertices))
+        return real(self, vertices)
+
+    monkeypatch.setattr(Graph, "subgraph", subgraph)
+    q_index(g)
+    assert len(calls) == 2
+    calls.clear()
+    assert decide_q_ge(g, 38)[0] is True  # q = 38 exactly
+    assert len(calls) == 2
 
 
 def small_order_graphs():
