@@ -83,7 +83,14 @@ def _cmd_compute_q(args) -> int:
         payload["edge_bound"] = q_upper_bound_edges(g) if g.n >= 2 else None
         text = (f"n={g.n} m={g.m} q in [{est.lower:.12g}, {est.upper:.12g}] "
                 f"iters={est.iterations} converged={est.converged}")
-        if args.oracle and g.n <= ORACLE_MAX_N:
+        if args.oracle and g.n > ORACLE_MAX_N:
+            # the check asked for did not run, so the run does not pass
+            payload["oracle"] = payload["oracle_inside"] = None
+            text += " oracle=None inside=None"
+            print(f"oracle skipped: n={g.n} is above the dense oracle's cap "
+                  f"n={ORACLE_MAX_N}", file=sys.stderr)
+            worst = 1
+        elif args.oracle:
             oracle, slack = q_index_dense_oracle(g), _oracle_slack(g)
             inside = est.lower - slack <= oracle <= est.upper + slack
             payload["oracle"] = oracle
@@ -249,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--tol", type=float, default=1e-9, help="spectral tolerance")
     p.add_argument("--oracle", action="store_true",
-                   help="also run the dense eigvalsh oracle; exit 1 if it lies outside a bracket")
+                   help=f"also run the dense eigvalsh oracle (n <= {ORACLE_MAX_N}); exit 1 if "
+                        "it lies outside a bracket or a graph is too large for it")
     p.set_defaults(fn=_cmd_compute_q)
 
     p = sub.add_parser("kappa", help="vertex connectivity with witness cut")

@@ -136,15 +136,15 @@ def local_connectivity(g: Graph, s: int, t: int, cap: Optional[int] = None) -> T
 def _non_adjacent_pairs(g: Graph) -> Iterator[Tuple[int, int]]:
     """Non-adjacent pairs s < t in lexicographic order."""
     full = (1 << g.n) - 1
-    for s in range(g.n):
-        for t in _bits((full & ~g.rows[s]) >> (s + 1) << (s + 1)):
+    for s, row in enumerate(g.rows):
+        for t in _bits((full & ~row) >> (s + 1) << (s + 1)):
             yield s, t
 
 
 def _min_degree_cut(g: Graph) -> Tuple[int, Tuple[int, ...]]:
     degs = g.degrees()
-    v = min(range(g.n), key=lambda i: degs[i])
-    return v, tuple(sorted(u for u in g.neighbors(v)))
+    v = degs.index(min(degs))
+    return v, _bits(g.rows[v])
 
 
 def _is_complete(g: Graph) -> bool:
@@ -206,7 +206,7 @@ def brute_force_connectivity(g: Graph) -> ConnectivityResult:
         return ConnectivityResult(0, (), "brute-force")
     if _is_complete(g):
         return ConnectivityResult(g.n - 1, (), "brute-force")
-    full = (1 << g.n) - 1
+    rows, full = g.rows, (1 << g.n) - 1
     for size in range(1, g.n - 1):
         for sub in itertools.combinations(range(g.n), size):
             removed = 0
@@ -214,7 +214,7 @@ def brute_force_connectivity(g: Graph) -> ConnectivityResult:
                 removed |= 1 << v
             allowed = full & ~removed
             start = (allowed & -allowed).bit_length() - 1
-            if _reach_mask(g.rows, start, allowed) & allowed != allowed:
+            if _reach_mask(rows, start, allowed) & allowed != allowed:
                 return ConnectivityResult(size, sub, "brute-force")
     return ConnectivityResult(g.n - 1, (), "brute-force")
 
@@ -231,7 +231,7 @@ def is_k_connected_small(g: Graph, k: int) -> Tuple[bool, Tuple[int, ...]]:
         return False, ()
     if not is_connected(g):
         return False, ()
-    full = (1 << g.n) - 1
+    rows, full = g.rows, (1 << g.n) - 1
     degs = g.degrees()
     sizes = range(k - 1, k) if min(degs) >= k else range(1, k)
     for size in sizes:
@@ -243,7 +243,7 @@ def is_k_connected_small(g: Graph, k: int) -> Tuple[bool, Tuple[int, ...]]:
             if not allowed:
                 continue
             start = (allowed & -allowed).bit_length() - 1
-            if _reach_mask(g.rows, start, allowed) & allowed != allowed:
+            if _reach_mask(rows, start, allowed) & allowed != allowed:
                 return False, sub
     return True, ()
 

@@ -7,8 +7,12 @@ all reduce to integer bit operations, which is plenty fast for the desk
 scale (n up to a few hundred) this library targets.  A graph crosses to a
 dense numpy matrix through one pair of converters (bit rows to bytes to
 ``np.unpackbits`` and back through ``np.packbits``).  The graph6 codec
-supports the long header form; since a parsed graph carries its dense
-n x n matrix, orders above ``MAX_ORDER`` (16 MB of matrix) are refused.
+supports the long header form.  A parsed graph carries its dense n x n
+matrix, its degrees and, when a short search finds it connected, its
+single component, all read off the matrix; its bit rows are built from
+the matrix on first use, so a caller that only reads degrees,
+connectivity or the matrix never builds them.  Orders above
+``MAX_ORDER`` (16 MB of matrix) are refused.
 """
 
 from __future__ import annotations
@@ -40,16 +44,23 @@ class Graph:
     across concurrent workers is safe.
 
     Each graph computes its facts at most once and keeps them: the degree
-    tuple (read by ``degrees``, ``m``, ``degree_array`` and
+    tuple (read by ``degree``, ``degrees``, ``m``, ``degree_array`` and
     ``degree_profile``), the components as a tuple of vertex tuples (read
     by ``components`` and ``is_connected``; an ``is_connected`` search that
     spans the graph records the single component), the dense boolean
     adjacency and the float64 degrees.  Every cached fact is a tuple or a
     read-only array, so no caller can alter it, and a derived graph starts
     with none of them.
+
+    A graph built from edges or rows holds its bit rows from the start.  A
+    graph built from a dense matrix (``parse_graph6``, ``random_graph``)
+    holds the matrix, its degree tuple and, when a matrix search from
+    vertex 0 reaches every vertex within ``_SPAN_ROUNDS`` rounds, its single
+    component; ``rows`` is then built from the matrix the first time it is
+    read.
     """
 
-    __slots__ = ("n", "rows", "_degs", "_comps", "_np_adj", "_np_deg")
+    __slots__ = ("n", "_rows", "_degs", "_comps", "_np_adj", "_np_deg")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
         if n < 0:
@@ -65,7 +76,7 @@ class Graph:
             rows[u] |= 1 << v
             rows[v] |= 1 << u
         self.n = n
-        self.rows = tuple(rows)
+        self._rows = tuple(rows)
         self._degs: Optional[Tuple[int, ...]] = None
         self._comps: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._np_adj: Optional[np.ndarray] = None
@@ -77,7 +88,7 @@ class Graph:
         already known symmetric and loop-free (hot enumeration paths)."""
         g = cls.__new__(cls)
         g.n = len(rows)
-        g.rows = tuple(rows)
+        g._rows = tuple(rows)
         g._degs = None
         g._comps = None
         g._np_adj = None
@@ -93,7 +104,7 @@ class Graph:
                 while rest:
                     b = rest & -rest
                     j = b.bit_length() - 1
-                    if not g.rows[j] >> i & 1:
+                    if not g._rows[j] >> i & 1:
                         raise ValueError(f"asymmetric adjacency at ({i},{j})")
                     rest ^= b
         return g
@@ -101,12 +112,20 @@ class Graph:
     # -- basic queries -------------------------------------------------
 
     @property
+    def rows(self) -> Tuple[int, ...]:
+        """Neighbour bitmask of each vertex (built from the matrix on first
+        use when the graph came from one)."""
+        if self._rows is None:
+            self._rows = _rows_from_bool(self._np_adj)
+        return self._rows
+
+    @property
     def m(self) -> int:
         """Number of edges."""
         return sum(self.degrees()) // 2
 
     def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
+        return self.degrees()[v]
 
     def degrees(self) -> Tuple[int, ...]:
         """Degree of each vertex (cached)."""
@@ -125,8 +144,9 @@ class Graph:
             rest ^= b
 
     def edges(self) -> Iterator[Tuple[int, int]]:
+        rows = self.rows
         for i in range(self.n):
-            rest = self.rows[i] >> (i + 1) << (i + 1)
+            rest = rows[i] >> (i + 1) << (i + 1)
             while rest:
                 b = rest & -rest
                 yield (i, b.bit_length() - 1)
@@ -175,8 +195,9 @@ class Graph:
         """Induced subgraph; vertex i of the result is ``vertices[i]``."""
         idx = {v: i for i, v in enumerate(vertices)}
         rows = [0] * len(vertices)
+        own = self.rows
         for v, i in idx.items():
-            rest = self.rows[v]
+            rest = own[v]
             while rest:
                 b = rest & -rest
                 j = idx.get(b.bit_length() - 1)
@@ -187,7 +208,7 @@ class Graph:
 
     def complement(self) -> "Graph":
         full = (1 << self.n) - 1
-        rows = [(full ^ self.rows[i]) & ~(1 << i) for i in range(self.n)]
+        rows = [(full ^ row) & ~(1 << i) for i, row in enumerate(self.rows)]
         return Graph.from_rows(rows, validate=False)
 
     # -- dunder --------------------------------------------------------
@@ -214,18 +235,55 @@ def _bool_from_rows(rows: Sequence[int]) -> np.ndarray:
     return bits.reshape(n, 8 * width)[:, :n].astype(bool)
 
 
-def _graph_from_bool(a: np.ndarray) -> Graph:
-    """Graph from a symmetric, loop-free boolean matrix, which it keeps
-    (read-only) as its cached ``adjacency_bool()``."""
+def _rows_from_bool(a: np.ndarray) -> Tuple[int, ...]:
+    """An n x n boolean matrix to bit rows: entry [i, j] is bit j of row i."""
     packed = np.packbits(a, axis=1, bitorder="little")
     width = packed.shape[1]
     buf = packed.tobytes()
-    g = Graph.from_rows(
-        [int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(a.shape[0])],
-        validate=False,
-    )
+    return tuple(int.from_bytes(buf[i * width:(i + 1) * width], "little")
+                 for i in range(a.shape[0]))
+
+
+# rounds of the matrix search at decode: a graph of larger diameter gets its
+# components from the bit rows, whose search costs far less per round
+_SPAN_ROUNDS = 32
+
+
+def _spans(a: np.ndarray) -> bool:
+    """Whether a search from vertex 0 of the boolean matrix ``a`` (n >= 1)
+    reaches every vertex within ``_SPAN_ROUNDS`` rounds; each round ORs the
+    rows of the vertices the last one reached first."""
+    n = len(a)
+    seen = a[0].copy()
+    seen[0] = True
+    new = seen.nonzero()[0]
+    count = new.size
+    for _ in range(_SPAN_ROUNDS):
+        if count == n:
+            return True
+        reach = np.logical_or.reduce(a[new], axis=0)
+        new = (reach > seen).nonzero()[0]
+        if not new.size:
+            return False
+        count += new.size
+        seen |= reach
+    return count == n
+
+
+def _graph_from_bool(a: np.ndarray) -> Graph:
+    """Graph from a symmetric, loop-free boolean matrix, which it keeps
+    (read-only) as its cached ``adjacency_bool()``, with the degree tuple
+    and, when ``_spans`` finds it connected, the single component read off
+    the matrix.  The bit rows wait until ``rows`` is first read."""
+    n = a.shape[0]
     a.setflags(write=False)
+    g = Graph.__new__(Graph)
+    g.n = n
+    g._rows = None
+    g._degs = tuple(np.count_nonzero(a, axis=1).tolist())
+    g._comps = (tuple(range(n)),) if n and _spans(a) else None
     g._np_adj = a
+    g._np_deg = None
     return g
 
 
@@ -399,7 +457,7 @@ def parse_graph6(data) -> Graph:
         raise Graph6Error(f"trailing bytes after payload for n={n}", pos + nbytes)
 
     # each byte carries 6 bits, most significant first
-    bits = np.unpackbits((raw[pos:] - 63)[:, None], axis=1)[:, 2:].ravel()
+    bits = np.unpackbits(((raw[pos:] - 63) << 2)[:, None], axis=1, count=6).ravel()
     if bits[nbits:].any():
         raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
     a = np.zeros((n, n), dtype=bool)
@@ -424,10 +482,23 @@ def write_graph6(g: Graph) -> str:
     return (head + payload.tobytes()).decode("ascii")
 
 
+# orders whose lower-triangle mask is kept, at most 256 KB a mask and 8 masks;
+# a larger order builds its mask per call, so a 16 MB mask at MAX_ORDER is
+# not held after the decode
+_TRIANGLE_CACHE_MAX_N = 512
+
+
 def _lower_triangle(n: int) -> np.ndarray:
     """Mask of the strict lower triangle.  Read in row-major order, entry
     (j, i) with i < j runs x01, x02, x12, x03, ...: the graph6 bit order."""
-    return np.tri(n, k=-1, dtype=bool)
+    if n > _TRIANGLE_CACHE_MAX_N:
+        return np.tri(n, k=-1, dtype=bool)
+    return _cached_lower_triangle(n)
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_lower_triangle(n: int) -> np.ndarray:
+    return _frozen(np.tri(n, k=-1, dtype=bool))
 
 
 # -- bit-row words --------------------------------------------------------

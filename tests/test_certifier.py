@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qconn.certifier as certifier_mod
+import qconn.graphs as graphs_mod
 from qconn import (
     CONDITION_NOT_MET,
     EXCEPTIONAL_FAMILY,
@@ -30,11 +31,14 @@ from qconn import (
     is_k_connected,
     iter_labeled_graphs,
     make_member,
+    parse_graph6,
     q_index,
     select_max_member,
     verify_eigen_identity,
     verify_theorem_proof_chain,
+    write_graph6,
 )
+from qconn.harness import random_graph
 
 PARAMS = ExtremalParams(103, 3, 3)
 
@@ -244,6 +248,28 @@ def test_certify_branch_pins(case, monkeypatch):
     for key in ("q_lower", "q_upper"):
         assert got.pop(key) == pytest.approx(want[key], rel=1e-12, abs=0)
     assert got == {k: v for k, v in want.items() if k not in ("q_lower", "q_upper")}
+
+
+@pytest.mark.parametrize("make_graph,outcome,builds", [
+    (lambda: random_graph(103, 0.5, 3, seed=0), CONDITION_NOT_MET, 0),
+    (lambda: random_graph(103, 0.04, seed=3), HYPOTHESIS_FAILED, 0),
+    (lambda: build_A(PARAMS)[0], EXCEPTIONAL_FAMILY, 1),
+], ids=["rejected", "hypothesis-failed", "A1-member"])
+def test_decoded_graph_builds_bit_rows_only_where_read(make_graph, outcome, builds, monkeypatch):
+    # a rejection and a hypothesis failure read degrees, connectivity and the
+    # matrix only; the flow scan and the classifier read the rows, once
+    line = write_graph6(make_graph())
+    calls = []
+    real = graphs_mod._rows_from_bool
+
+    def spy(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(graphs_mod, "_rows_from_bool", spy)
+    verdict = certify(parse_graph6(line), 3)
+    assert verdict.outcome == outcome
+    assert calls == [(103, 103)] * builds
 
 
 # -- lemma 2.3 -------------------------------------------------------------------

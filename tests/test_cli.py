@@ -70,6 +70,24 @@ def test_compute_q_oracle_outside_the_bracket_fails(tmp_path, capsys, monkeypatc
     assert code == 0
 
 
+def test_compute_q_oracle_above_its_cap_fails(tmp_path, capsys):
+    from qconn import path
+    from qconn.spectral import ORACLE_MAX_N
+
+    f = tmp_path / "paths.g6"
+    for n, code_want in ((200, 0), (ORACLE_MAX_N + 1, 1)):
+        f.write_text(write_graph6(path(n)) + "\n")
+        code = main(["compute-q", "--json", "--oracle", str(f)])
+        out, err = capsys.readouterr()
+        payload = json.loads(out)
+        assert code == code_want and payload["n"] == n
+        if code_want:  # the check asked for did not run
+            assert payload["oracle"] is None and payload["oracle_inside"] is None
+            assert err.count("\n") == 1 and f"cap n={ORACLE_MAX_N}" in err
+        else:
+            assert payload["oracle_inside"] is True and err == ""
+
+
 def test_kappa(tmp_path, capsys):
     f = tmp_path / "c6.g6"
     f.write_text("EhEG\n")  # placeholder replaced below

@@ -18,9 +18,12 @@ from qconn import (
     iter_labeled_graphs,
     join,
     local_connectivity,
+    parse_graph6,
     path,
     vertex_connectivity,
+    write_graph6,
 )
+from qconn.connectivity import _min_degree_cut
 
 from conftest import petersen, random_graph_mask
 
@@ -91,6 +94,19 @@ def test_witness_comes_from_first_pair():
     assert is_k_connected(g, 2) == (False, (1,))
     assert vertex_connectivity(g).cut == (1,)
     assert local_connectivity(g, 0, 5) == (1, (2,))
+
+
+def test_degree_witness_comes_from_first_minimum_vertex(rng):
+    # the degree witness is the sorted neighbourhood of the first vertex of
+    # least degree: vertex 0 of P_5, not vertex 4
+    assert is_k_connected(path(5), 2) == (False, (1,))
+    for _ in range(200):
+        n = int(rng.integers(2, 70))
+        g = random_graph_mask(n, rng, p=float(rng.uniform(0.05, 0.6)))
+        for h in (g, parse_graph6(write_graph6(g))):
+            degs = h.degrees()
+            v = min(range(n), key=lambda i: degs[i])
+            assert _min_degree_cut(h) == (v, tuple(sorted(h.neighbors(v))))
 
 
 def test_brute_force_examples():

@@ -198,30 +198,56 @@ def test_graph6_matches_networkx(rng):
         assert parse_graph6(expect) == g
 
 
+def long_header(n):
+    return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+
+
+# (line, byte offset, message) for every Graph6Error branch of the decoder
+GRAPH6_ERRORS = [
+    ("", 0, "empty graph6 string"),
+    ("B\x20", 1, "byte 32 outside graph6 range [63,126]"),  # space in the payload
+    ("D?\x7f", 2, "byte 127 outside graph6 range [63,126]"),
+    (">>graph6<<D?\x7f", 2, "byte 127 outside graph6 range [63,126]"),  # after the prefix
+    ("D?", 2, "truncated payload: need 2 bytes for n=5, got 1"),
+    ("Bww", 2, "trailing bytes after payload for n=3"),
+    ("B?" + chr(63 + 1), 2, "trailing bytes after payload for n=3"),
+    ("~??", 3, "truncated long-form header"),
+    ("~~??????", 1, "8-byte graph6 header (n > 258047) not supported"),
+    ("A" + chr(63 + 0b100001), 1, "nonzero padding bits"),  # n=2: one bit, five pad
+    # n=63: 1953 bits in 326 bytes, so the last byte's low three bits are pad
+    (long_header(63) + "?" * 325 + chr(63 + 1), 329, "nonzero padding bits"),
+    (long_header(MAX_ORDER + 1), 4, f"order n={MAX_ORDER + 1} exceeds the codec limit {MAX_ORDER}"),
+]
+
+
 def test_graph6_errors():
-    with pytest.raises(Graph6Error):
-        parse_graph6("")
-    with pytest.raises(Graph6Error) as err:
-        parse_graph6("B\x20")  # space outside [63,126]
-    assert err.value.offset == 1
-    with pytest.raises(Graph6Error):
-        parse_graph6("D?")  # truncated payload for n=5
-    with pytest.raises(Graph6Error):
-        parse_graph6("Bww")  # trailing bytes
-    with pytest.raises(Graph6Error):
-        parse_graph6("~??")  # truncated long header
-    with pytest.raises(Graph6Error):
-        parse_graph6("B?" + chr(63 + 1))  # hits trailing-byte check
-    with pytest.raises(Graph6Error):
-        parse_graph6("A" + chr(63 + 0b100001))  # n=2, nonzero padding bits
+    for line, offset, message in GRAPH6_ERRORS:
+        with pytest.raises(Graph6Error) as err:
+            parse_graph6(line)
+        assert (err.value.offset, str(err.value)) == (offset, f"{message} (byte offset {offset})")
     with pytest.raises(ValueError):
         write_graph6(empty(258048))
 
 
-def test_graph6_order_limit():
-    def long_header(n):
-        return "~" + "".join(chr((n >> shift & 63) + 63) for shift in (12, 6, 0))
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 65, 103, 185])
+def test_graph6_round_trip_at_header_and_word_boundaries(n):
+    # both header forms, and bit rows either side of 8 and 64 bits; from
+    # n = 35 a path outruns the 32 rounds of the decode's matrix search
+    rng = np.random.default_rng(n)
+    for g in (random_graph_mask(n, rng, p=0.5), random_graph_mask(n, rng, p=1.5 / max(n, 1)),
+              complete(n), empty(n), path(n)):
+        line = write_graph6(g)
+        parsed = parse_graph6(line)
+        ref = Graph.from_rows(g.rows)
+        # the facts read off the matrix first, then the rows built from it
+        assert parsed.degrees() == ref.degrees()
+        assert components(parsed) == components(ref)
+        assert np.array_equal(parsed.adjacency_bool(), ref.adjacency_bool())
+        assert parsed.rows == ref.rows
+        assert write_graph6(parsed) == line
 
+
+def test_graph6_order_limit():
     assert long_header(258047) == "~}~~"  # the largest 4-byte header
     # above the limit the header alone is refused: no payload is read
     for n in (MAX_ORDER + 1, 258047):

@@ -113,17 +113,22 @@ def enumerated_graph(n: int, seed: int) -> Graph:
 
 @PROPERTY
 @given(st.integers(0, 40), seeds, densities,
-       st.sampled_from(["rows", "graph6", "pieces", "enumerated"]))
+       st.sampled_from(["rows", "graph6", "pieces", "enumerated", "decoded"]))
 def test_cached_facts_match_edges_in_every_call_order(n, seed, p, shape):
     if shape == "enumerated":
         n %= 8
         g = enumerated_graph(n, seed)
+    elif shape == "decoded":  # parsed afresh below: facts read off the matrix
+        g = drawn_graph(n, seed, p, "pieces" if seed % 2 else "rows")
+        line = write_graph6(g)
     else:
         g = drawn_graph(n, seed, p, shape)
     want = fresh_facts(g)
     for order in itertools.permutations(FACTS):
         if shape == "enumerated":
             h = enumerated_graph(n, seed)
+        elif shape == "decoded":
+            h = parse_graph6(line)
         else:
             h = Graph.from_rows(g.rows)
             assert_no_cached_facts(h)
