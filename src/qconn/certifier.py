@@ -1,5 +1,5 @@
-"""Verdict pipeline for the spectral k-connectivity theorem, plus numeric
-checkers for the supporting lemmas.
+"""Verdict pipeline for the spectral k-connectivity theorem, plus checkers
+for the supporting lemmas.
 
 The headline certificate: a connected graph of order n with minimum degree
 delta >= k >= 3 and n >= F(k, delta) whose Q-index reaches 2(n-delta+k-3)
@@ -12,6 +12,11 @@ failure to do so is the falsification signal and is flagged loudly.
 The spectral condition is decided by ``decide_q_ge``, whose every True or
 False is an exact integer Collatz-Wielandt certificate; when no
 certificate settles it, the verdict is ``UNDECIDED_NUMERIC``.
+
+The family lemmas rest on exact certificates too: 3.1 and 3.2 on the
+exact Rayleigh quotient of the Y u Z indicator (a lower bound on q), 3.8
+on ``decide_q_ge``; their float brackets are reported, never tested.  The
+eigenvector lemmas 3.3, 3.4, 3.6 and 3.7 are float checks with tolerances.
 """
 
 from __future__ import annotations
@@ -262,64 +267,56 @@ def _identity_from_edges(member: FamilyMember) -> int:
     return 4 * inner_edges + cross_edges - 4 * (psize * (psize - 1) // 2)
 
 
-def check_lemma_3_1(params: ExtremalParams, removed: Sequence, tolerance: float = 1e-9) -> LemmaReport:
-    """A1 members reach the spectral threshold; the proof's integer identity
-    (delta-k+2)(k-1) - 4|E'| >= 0 is verified exactly from the edge sets."""
+def _rayleigh_evidence(params: ExtremalParams, removed: Sequence, family_class: str,
+                       tolerance: float) -> dict:
+    """Shared body of checks 3.1 and 3.2: build the member, check its class,
+    and record the proof's integer identity (from the edge sets and in
+    closed form), the exact Rayleigh quotient R of the Y u Z indicator and
+    the float ``q_index`` bracket, which is reported only."""
     member = make_member(params, removed)
-    if member.family_class != FAMILY_A1:
-        raise ValueError("member is not in class A1")
-    t = q_threshold(params)
-    closed_form = (params.delta - params.k + 2) * (params.k - 1) - 4 * len(member.removed_edges)
-    actual = _identity_from_edges(member)
-    z = _member_z_vector(member)
-    exact_rayleigh = rayleigh_q_exact(member.graph, z)
-    psize = params.y_size + params.z_size
+    if member.family_class != family_class:
+        raise ValueError(f"member is not in class {family_class}")
     est = q_index(member.graph, tolerance)
-    details = {
-        "threshold": t,
-        "identity_value": actual,
-        "identity_closed_form": closed_form,
-        "exact_rayleigh": exact_rayleigh,
+    return {
+        "threshold": q_threshold(params),
+        "identity_value": _identity_from_edges(member),
+        "identity_closed_form": (params.delta - params.k + 2) * (params.k - 1)
+                                - 4 * len(member.removed_edges),
+        "exact_rayleigh": rayleigh_q_exact(member.graph, _member_z_vector(member)),
         "q_lower": est.lower,
         "q_upper": est.upper,
-        "margin": est.lower - t,
-        "order_ge_F": params.n >= threshold_F(params.k, params.delta),
     }
+
+
+def check_lemma_3_1(params: ExtremalParams, removed: Sequence, tolerance: float = 1e-9) -> LemmaReport:
+    """A1 members reach the spectral threshold t.  The proof's integer
+    identity (delta-k+2)(k-1) - 4|E'| >= 0 is verified exactly from the edge
+    sets, and the exact Rayleigh quotient R = t + identity/|Y u Z| >= t of
+    the Y u Z indicator proves q >= R >= t; no float enters the verdict."""
+    details = _rayleigh_evidence(params, removed, FAMILY_A1, tolerance)
+    t, actual, rayleigh = details["threshold"], details["identity_value"], details["exact_rayleigh"]
+    details["margin"] = details["q_lower"] - t
+    details["order_ge_F"] = params.n >= threshold_F(params.k, params.delta)
     passed = (
-        actual == closed_form
+        actual == details["identity_closed_form"]
         and actual >= 0
-        and exact_rayleigh == Fraction(t) + Fraction(actual, psize)
-        and exact_rayleigh >= t
-        and est.lower >= t - 1e-6
+        and rayleigh == t + Fraction(actual, params.y_size + params.z_size)
+        and rayleigh >= t
     )
     return LemmaReport("3.1", passed=passed, details=details)
 
 
 def check_lemma_3_2(params: ExtremalParams, removed: Sequence, tolerance: float = 1e-9) -> LemmaReport:
-    """A2 members stay above threshold - 1; proof identity >= -4 exactly."""
-    member = make_member(params, removed)
-    if member.family_class != FAMILY_A2:
-        raise ValueError("member is not in class A2")
-    t = q_threshold(params)
-    closed_form = (params.delta - params.k + 2) * (params.k - 1) - 4 * len(member.removed_edges)
-    actual = _identity_from_edges(member)
-    z = _member_z_vector(member)
-    exact_rayleigh = rayleigh_q_exact(member.graph, z)
-    est = q_index(member.graph, tolerance)
-    details = {
-        "threshold": t,
-        "identity_value": actual,
-        "identity_closed_form": closed_form,
-        "exact_rayleigh": exact_rayleigh,
-        "q_lower": est.lower,
-        "q_upper": est.upper,
-        "margin": est.lower - (t - 1),
-    }
+    """A2 members stay above t - 1.  The proof identity >= -4 is verified
+    exactly, and the exact Rayleigh quotient R > t - 1 of the Y u Z
+    indicator proves q >= R > t - 1; no float enters the verdict."""
+    details = _rayleigh_evidence(params, removed, FAMILY_A2, tolerance)
+    t, actual = details["threshold"], details["identity_value"]
+    details["margin"] = details["q_lower"] - (t - 1)
     passed = (
-        actual == closed_form
+        actual == details["identity_closed_form"]
         and actual >= -4
-        and exact_rayleigh > t - 1
-        and est.lower > t - 1
+        and details["exact_rayleigh"] > t - 1
     )
     return LemmaReport("3.2", passed=passed, details=details)
 
@@ -466,11 +463,11 @@ def check_lemma_3_7(
 
 
 def check_lemma_3_8(params: ExtremalParams, tolerance: float = 1e-9) -> LemmaReport:
-    """Every A2 orbit representative stays strictly below the threshold.
-
-    Stated for orders past the polynomial threshold; below it the numbers
-    are still reported but the report is marked not applicable.
-    """
+    """Every A2 orbit representative stays strictly below the threshold t:
+    ``decide_q_ge(member, t)`` must return False, an exact certificate of
+    q < t, and an undecided member fails and is named in a finding.  The
+    float ``q_index`` brackets are reported only.  Below the order
+    threshold F the report is marked not applicable."""
     applicable = params.k >= 3 and params.n >= threshold_F(params.k, params.delta)
     t = q_threshold(params)
     size = params.eprime_bound + 1
@@ -478,20 +475,25 @@ def check_lemma_3_8(params: ExtremalParams, tolerance: float = 1e-9) -> LemmaRep
     max_upper = -float("inf")
     min_gap = float("inf")
     skipped = []
+    findings = []
     ok = True
     per_rep = []
     for rep in reps:
         member = make_member(params, rep)
+        removed = list(map(list, rep))
         if not member.hypothesis_ok:
-            skipped.append(list(map(list, rep)))
+            skipped.append(removed)
             continue
+        decision, _ = decide_q_ge(member.graph, t, tolerance)
+        if decision is None:
+            findings.append(f"undecided: no integer certificate settles q >= {t} "
+                            f"with E' = {removed}")
+        ok = ok and decision is False
         est = q_index(member.graph, tolerance)
         gap = t - est.upper
-        per_rep.append({"removed": list(map(list, rep)), "q_upper": est.upper, "gap": gap})
+        per_rep.append({"removed": removed, "q_upper": est.upper, "gap": gap})
         max_upper = max(max_upper, est.upper)
         min_gap = min(min_gap, gap)
-        if not est.upper < t:
-            ok = False
     details = {
         "threshold": t,
         "order_ge_F": applicable,
@@ -502,7 +504,7 @@ def check_lemma_3_8(params: ExtremalParams, tolerance: float = 1e-9) -> LemmaRep
         "per_representative": per_rep,
     }
     return LemmaReport("3.8", passed=ok or not applicable, applicable=applicable,
-                       details=details)
+                       details=details, findings=tuple(findings))
 
 
 def select_max_member(

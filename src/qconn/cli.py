@@ -187,10 +187,10 @@ def _cmd_verify(args) -> int:
         rep = certifier.check_lemma_3_2(params, removed, args.tol)
     elif lemma == "3.3":
         rep = certifier.check_lemma_3_3(_member_for_verify(args, params))
-    elif lemma == "orderings":
-        rep = certifier.check_orderings(_member_for_verify(args, params))
-    elif lemma == "3.7":
-        rep = certifier.check_lemma_3_7(_member_for_verify(args, params))
+    elif lemma in ("orderings", "3.7"):
+        # proved for the maximizer only, not for a member named by --remove
+        checker = certifier.check_orderings if lemma == "orderings" else certifier.check_lemma_3_7
+        rep = checker(_member_for_verify(args, params), is_maximizer=not args.remove)
     elif lemma == "3.8":
         rep = certifier.check_lemma_3_8(params, args.tol)
     elif lemma == "chain":

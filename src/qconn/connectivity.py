@@ -161,14 +161,12 @@ def vertex_connectivity(g: Graph) -> ConnectivityResult:
     # (its owner has a non-neighbour since the graph is not complete)
     _, best_cut = _min_degree_cut(g)
     best = len(best_cut)
-    best_pair = None
+    # a capped query that stops below its cap ran to max flow, so its cut
+    # is a minimum s-t separator
     for s, t in _non_adjacent_pairs(g):
-        value, _ = local_connectivity(g, s, t, cap=best)
+        value, cut = local_connectivity(g, s, t, cap=best)
         if value < best:
-            best = value
-            best_pair = (s, t)
-    if best_pair is not None:
-        best, best_cut = local_connectivity(g, *best_pair)
+            best, best_cut = value, cut
     return ConnectivityResult(best, best_cut, "maxflow")
 
 

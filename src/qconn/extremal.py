@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .graphs import Graph, _bits, complete, degree_profile, disjoint_union, empty, join
+from .graphs import Graph, _bits, complete, disjoint_union, empty, is_connected, join
 
 Edge = Tuple[int, int]
 
@@ -105,9 +105,10 @@ class FamilyMember:
     ``family_class`` is A1 or A2 for exact members; SUBGRAPH marks
     permissive-mode evidence (graph is a spanning subgraph of the intact
     construction, removed_edges lists everything missing from it).  The
-    hypothesis flags record whether the member still meets the theorem's
-    connectivity and minimum-degree assumptions; lemma checkers skip
-    flagged members and say so.
+    hypothesis flags ``connected`` and ``min_degree_ok`` are read off the
+    graph's cached facts: whether the member still meets the theorem's
+    connectivity and minimum-degree (>= delta) assumptions.  Lemma
+    checkers skip flagged members and say so.
     """
 
     params: ExtremalParams
@@ -115,8 +116,14 @@ class FamilyMember:
     graph: Graph
     family_class: str
     partition: VertexPartition
-    connected: bool
-    min_degree_ok: bool
+
+    @property
+    def connected(self) -> bool:
+        return is_connected(self.graph)
+
+    @property
+    def min_degree_ok(self) -> bool:
+        return min(self.graph.degrees()) >= self.params.delta
 
     @property
     def hypothesis_ok(self) -> bool:
@@ -217,16 +224,12 @@ def make_member(params: ExtremalParams, removed: Iterable[Edge]) -> FamilyMember
     bound = params.eprime_bound
     if len(removed_norm) > bound + 1:
         raise ValueError(f"|E'|={len(removed_norm)} above the A2 size {bound + 1}")
-    member_graph = g.with_edges_removed(removed_norm)
-    profile = degree_profile(member_graph)
     return FamilyMember(
         params=params,
         removed_edges=tuple(sorted(removed_norm)),
-        graph=member_graph,
+        graph=g.with_edges_removed(removed_norm),
         family_class=FAMILY_A1 if len(removed_norm) <= bound else FAMILY_A2,
         partition=part,
-        connected=profile.is_connected,
-        min_degree_ok=profile.min_degree >= params.delta,
     )
 
 
@@ -353,15 +356,12 @@ def _strict_classify(g: Graph, k: int, delta: int) -> Optional[FamilyMember]:
             ]
             if len(missing) > bound + 1:
                 continue
-            profile = degree_profile(g)
             return FamilyMember(
                 params=params,
                 removed_edges=tuple(missing),
                 graph=g,
                 family_class=FAMILY_A1 if len(missing) <= bound else FAMILY_A2,
                 partition=VertexPartition(X=X, Y=Y, Z=tuple(sorted(Z))),
-                connected=profile.is_connected,
-                min_degree_ok=profile.min_degree >= delta,
             )
     return None
 
@@ -394,15 +394,12 @@ def _permissive_classify(g: Graph, k: int, delta: int) -> Optional[FamilyMember]
                 u, w = inv[i], inv[j]
                 if not g.has_edge(u, w):
                     missing.append((min(u, w), max(u, w)))
-            profile = degree_profile(g)
             return FamilyMember(
                 params=params,
                 removed_edges=tuple(sorted(missing)),
                 graph=g,
                 family_class=FAMILY_SUBGRAPH,
                 partition=VertexPartition(X=X, Y=Y, Z=Z),
-                connected=profile.is_connected,
-                min_degree_ok=profile.min_degree >= delta,
             )
     return None
 

@@ -34,6 +34,7 @@ from qconn import (
     parse_graph6,
     q_index,
     select_max_member,
+    threshold_F,
     verify_eigen_identity,
     verify_theorem_proof_chain,
     write_graph6,
@@ -400,6 +401,46 @@ def test_lemma_3_8():
     # jointly with lemma 3.2 the bracket sits inside (199, 200)
     for item in rep.details["per_representative"]:
         assert 199 < item["q_upper"] < 200
+
+
+# the A2 members at which q equals the threshold exactly: no integer
+# certificate settles a tie, so 3.8 names each one as undecided
+A2_TIES = {
+    (3, 3, 8): [[0, 4], [1, 4]],
+    (3, 4, 12): [[0, 1], [0, 5]],
+    (4, 4, 11): [[0, 1], [0, 2]],
+    (4, 4, 18): [[0, 5], [1, 5]],
+}
+
+
+def test_lemma_verdicts_exact_at_every_small_order():
+    undecided = {}
+    for k, delta in ((3, 3), (3, 4), (4, 4)):
+        for n in [*range(delta + 2, 32), threshold_F(k, delta)]:
+            params = ExtremalParams(n, k, delta)
+            for size in range(params.eprime_bound + 2):
+                check = check_lemma_3_1 if size <= params.eprime_bound else check_lemma_3_2
+                for rep in enumerate_Eprime_orbits(params, size):
+                    if make_member(params, rep).hypothesis_ok:
+                        assert check(params, rep).passed, (k, delta, n, rep)
+            out = check_lemma_3_8(params)
+            assert out.passed and out.applicable == (n == threshold_F(k, delta)), (k, delta, n)
+            if out.findings:
+                undecided[(k, delta, n)] = out.findings
+    assert set(undecided) == set(A2_TIES)
+    for key, removed in A2_TIES.items():
+        (finding,) = undecided[key]
+        assert finding.startswith("undecided") and str(removed) in finding
+
+
+def test_lemma_3_8_rests_on_decide_q_ge(monkeypatch):
+    # an undecided member fails the check, and so does a certified q >= t
+    for decision in (None, True):
+        monkeypatch.setattr(certifier_mod, "decide_q_ge",
+                            lambda g, t, tol, d=decision: (d, q_index(g, tol)))
+        rep = check_lemma_3_8(PARAMS)
+        assert rep.applicable and not rep.passed
+        assert len(rep.findings) == (9 if decision is None else 0)
 
 
 def test_eigen_identity_on_members():

@@ -143,6 +143,22 @@ def test_verify_cli(capsys):
     assert code == 0
 
 
+def test_verify_named_member_is_not_the_maximizer(capsys):
+    # 3.4, 3.6 and 3.7 are proved for the maximizer only: on a member named
+    # by --remove a broken ordering is a finding, not a failure
+    code, out = run_cli(capsys, "verify", "--lemma", "orderings", "--remove", "0-4,1-5", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["passed"] and payload["findings"]
+    assert payload["details"]["maximizer"] == "not the maximizer"
+    code, out = run_cli(capsys, "verify", "--lemma", "3.7", "--remove", "0-4,1-5", "--json")
+    assert code == 0 and json.loads(out)["details"]["maximizer"] == "not the maximizer"
+    for lemma in ("orderings", "3.7"):
+        code, out = run_cli(capsys, "verify", "--lemma", lemma, "--size", "2", "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["passed"] and not payload["findings"]
+        assert payload["details"]["maximizer"] == "empirical (best orbit representative)"
+
+
 def test_verify_lemma22_cli(tmp_path, capsys):
     from qconn import path
     f = tmp_path / "p3.g6"

@@ -96,6 +96,38 @@ def test_witness_comes_from_first_pair():
     assert local_connectivity(g, 0, 5) == (1, (2,))
 
 
+def test_kappa_below_min_degree_keeps_the_scan_cut(rng, monkeypatch):
+    # the witness is the cut of the capped query that last lowered kappa:
+    # one query per non-adjacent pair, and no uncapped rerun
+    import qconn.connectivity as conn
+    real = conn.local_connectivity
+    calls = []
+
+    def spy(g, s, t, cap=None):
+        assert cap is not None
+        value, cut = real(g, s, t, cap)
+        calls.append((s, t, value < cap))  # True where the query lowered kappa
+        return value, cut
+
+    monkeypatch.setattr(conn, "local_connectivity", spy)
+    checked = 0
+    while checked < 40:
+        n = int(rng.integers(5, 12))
+        g = random_graph_mask(n, rng, p=float(rng.uniform(0.3, 0.8)))
+        brute = brute_force_connectivity(g)
+        if not is_connected(g) or brute.kappa >= min(g.degrees()):
+            continue
+        calls.clear()
+        res = vertex_connectivity(g)
+        assert res.kappa == brute.kappa == len(res.cut)
+        assert cut_disconnects(g, res.cut)
+        pairs = [(s, t) for s in range(n) for t in range(s + 1, n) if not g.has_edge(s, t)]
+        assert [(s, t) for s, t, _ in calls] == pairs
+        s, t, _ = [c for c in calls if c[2]][-1]
+        assert real(g, s, t) == (res.kappa, res.cut)
+        checked += 1
+
+
 def test_degree_witness_comes_from_first_minimum_vertex(rng):
     # the degree witness is the sorted neighbourhood of the first vertex of
     # least degree: vertex 0 of P_5, not vertex 4
