@@ -11,7 +11,7 @@ from qconn import (
     ExtremalParams,
     build_A,
     classify_membership,
-    enumerate_Eprime_orbits,
+    family_members,
     is_k_connected,
     make_member,
     orbit_census,
@@ -35,13 +35,13 @@ print(f"  3-connected? {ok}; witness cut = {cut} (the join part Y)")
 
 print(f"\nE' budget: A1 up to {params.eprime_bound}, A2 exactly {params.eprime_bound + 1}")
 for size in (1, 2):
-    reps = enumerate_Eprime_orbits(params, size)
-    print(f"size-{size} orbit representatives ({len(reps)}):")
-    for rep in reps:
-        member = make_member(params, rep)
-        print(f"  remove {list(rep)} -> class {member.family_class}")
+    members = family_members(params, size)  # one member per orbit representative
+    print(f"size-{size} orbit representatives ({len(members)}):")
+    for member in members:
+        print(f"  remove {list(member.removed_edges)} -> class {member.family_class}")
 
-print("\norbit census on the shrunken instance (|Z| capped at 5):")
+print("\norbit census on the shrunken instance (|Z| capped at 5), run once and")
+print("shared by every order of (k, delta, size) = (3, 3, 2):")
 small = shrunken_params(params, 2)
 census = orbit_census(small, 2)
 total = sum(size for _, size in census)

@@ -62,6 +62,7 @@ from .extremal import (
     build_M,
     classify_membership,
     enumerate_Eprime_orbits,
+    family_members,
     make_member,
     orbit_census,
     q_threshold,

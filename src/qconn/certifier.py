@@ -21,9 +21,10 @@ eigenvector lemmas 3.3, 3.4, 3.6 and 3.7 are float checks with tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -40,8 +41,7 @@ from .extremal import (
     ExtremalParams,
     FamilyMember,
     classify_membership,
-    enumerate_Eprime_orbits,
-    make_member,
+    family_members,
     q_threshold,
     threshold_F,
 )
@@ -250,67 +250,52 @@ def _member_z_vector(member: FamilyMember) -> list:
     return z
 
 
-def _identity_from_edges(member: FamilyMember) -> int:
-    """<Q(G)z,z> - <Q(K_p u empty)z,z> computed from the actual edge sets,
-    in integers: inner edges weigh 4, cross edges 1, the clique base 4*C(p,2)."""
-    p = member.params
-    inner = set(member.partition.Y) | set(member.partition.Z)
-    inner_edges = 0
-    cross_edges = 0
-    for u, v in member.graph.edges():
-        inside = (u in inner) + (v in inner)
-        if inside == 2:
-            inner_edges += 1
-        elif inside == 1:
-            cross_edges += 1
-    psize = len(inner)
-    return 4 * inner_edges + cross_edges - 4 * (psize * (psize - 1) // 2)
-
-
-def _rayleigh_evidence(params: ExtremalParams, removed: Sequence, family_class: str,
-                       tolerance: float) -> dict:
-    """Shared body of checks 3.1 and 3.2: build the member, check its class,
-    and record the proof's integer identity (from the edge sets and in
-    closed form), the exact Rayleigh quotient R of the Y u Z indicator and
-    the float ``q_index`` bracket, which is reported only."""
-    member = make_member(params, removed)
+def _rayleigh_evidence(member: FamilyMember, family_class: str, tolerance: float) -> dict:
+    """Shared body of checks 3.1 and 3.2: check the member's class, and
+    record the exact Rayleigh quotient R of the Y u Z indicator z, the
+    proof's integer identity <Qz,z> - <Q(K_p u empty)z,z> = R*p - 4*C(p,2)
+    (p = |Y u Z|) beside its closed form, and the float ``q_index``
+    bracket, which is reported only."""
     if member.family_class != family_class:
         raise ValueError(f"member is not in class {family_class}")
+    params = member.params
+    p = params.y_size + params.z_size
+    rayleigh = rayleigh_q_exact(member.graph, _member_z_vector(member))
     est = q_index(member.graph, tolerance)
     return {
         "threshold": q_threshold(params),
-        "identity_value": _identity_from_edges(member),
+        "identity_value": int(rayleigh * p) - 4 * math.comb(p, 2),
         "identity_closed_form": (params.delta - params.k + 2) * (params.k - 1)
                                 - 4 * len(member.removed_edges),
-        "exact_rayleigh": rayleigh_q_exact(member.graph, _member_z_vector(member)),
+        "exact_rayleigh": rayleigh,
         "q_lower": est.lower,
         "q_upper": est.upper,
     }
 
 
-def check_lemma_3_1(params: ExtremalParams, removed: Sequence, tolerance: float = 1e-9) -> LemmaReport:
+def check_lemma_3_1(member: FamilyMember, tolerance: float = 1e-9) -> LemmaReport:
     """A1 members reach the spectral threshold t.  The proof's integer
-    identity (delta-k+2)(k-1) - 4|E'| >= 0 is verified exactly from the edge
-    sets, and the exact Rayleigh quotient R = t + identity/|Y u Z| >= t of
-    the Y u Z indicator proves q >= R >= t; no float enters the verdict."""
-    details = _rayleigh_evidence(params, removed, FAMILY_A1, tolerance)
-    t, actual, rayleigh = details["threshold"], details["identity_value"], details["exact_rayleigh"]
+    identity (delta-k+2)(k-1) - 4|E'| >= 0 is checked against R, and the
+    exact Rayleigh quotient R = t + identity/|Y u Z| >= t of the Y u Z
+    indicator proves q >= R >= t; no float enters the verdict."""
+    details = _rayleigh_evidence(member, FAMILY_A1, tolerance)
+    t, actual = details["threshold"], details["identity_value"]
+    params = member.params
     details["margin"] = details["q_lower"] - t
     details["order_ge_F"] = params.n >= threshold_F(params.k, params.delta)
     passed = (
         actual == details["identity_closed_form"]
         and actual >= 0
-        and rayleigh == t + Fraction(actual, params.y_size + params.z_size)
-        and rayleigh >= t
+        and details["exact_rayleigh"] >= t
     )
     return LemmaReport("3.1", passed=passed, details=details)
 
 
-def check_lemma_3_2(params: ExtremalParams, removed: Sequence, tolerance: float = 1e-9) -> LemmaReport:
-    """A2 members stay above t - 1.  The proof identity >= -4 is verified
-    exactly, and the exact Rayleigh quotient R > t - 1 of the Y u Z
+def check_lemma_3_2(member: FamilyMember, tolerance: float = 1e-9) -> LemmaReport:
+    """A2 members stay above t - 1.  The proof identity >= -4 is checked
+    against R, and the exact Rayleigh quotient R > t - 1 of the Y u Z
     indicator proves q >= R > t - 1; no float enters the verdict."""
-    details = _rayleigh_evidence(params, removed, FAMILY_A2, tolerance)
+    details = _rayleigh_evidence(member, FAMILY_A2, tolerance)
     t, actual = details["threshold"], details["identity_value"]
     details["margin"] = details["q_lower"] - (t - 1)
     passed = (
@@ -470,17 +455,13 @@ def check_lemma_3_8(params: ExtremalParams, tolerance: float = 1e-9) -> LemmaRep
     threshold F the report is marked not applicable."""
     applicable = params.k >= 3 and params.n >= threshold_F(params.k, params.delta)
     t = q_threshold(params)
-    size = params.eprime_bound + 1
-    reps = enumerate_Eprime_orbits(params, size)
-    max_upper = -float("inf")
-    min_gap = float("inf")
+    members = family_members(params, params.eprime_bound + 1)
     skipped = []
     findings = []
     ok = True
     per_rep = []
-    for rep in reps:
-        member = make_member(params, rep)
-        removed = list(map(list, rep))
+    for member in members:
+        removed = list(map(list, member.removed_edges))
         if not member.hypothesis_ok:
             skipped.append(removed)
             continue
@@ -490,17 +471,15 @@ def check_lemma_3_8(params: ExtremalParams, tolerance: float = 1e-9) -> LemmaRep
                             f"with E' = {removed}")
         ok = ok and decision is False
         est = q_index(member.graph, tolerance)
-        gap = t - est.upper
-        per_rep.append({"removed": removed, "q_upper": est.upper, "gap": gap})
-        max_upper = max(max_upper, est.upper)
-        min_gap = min(min_gap, gap)
+        per_rep.append({"removed": removed, "q_upper": est.upper, "gap": t - est.upper})
     details = {
         "threshold": t,
         "order_ge_F": applicable,
-        "representatives": len(reps),
+        "representatives": len(members),
         "skipped_flagged": skipped,
-        "max_q_upper": max_upper,
-        "min_gap": min_gap,
+        # null, not an infinite float, where no member meets the hypotheses
+        "max_q_upper": max((r["q_upper"] for r in per_rep), default=None),
+        "min_gap": min((r["gap"] for r in per_rep), default=None),
         "per_representative": per_rep,
     }
     return LemmaReport("3.8", passed=ok or not applicable, applicable=applicable,
@@ -515,13 +494,13 @@ def select_max_member(
     """
     best = None
     scanned = []
-    for rep in enumerate_Eprime_orbits(params, size):
-        member = make_member(params, rep)
+    for member in family_members(params, size):
+        removed = list(map(list, member.removed_edges))
         if not member.hypothesis_ok:
-            scanned.append({"removed": list(map(list, rep)), "skipped": True})
+            scanned.append({"removed": removed, "skipped": True})
             continue
         est = q_index(member.graph, tolerance)
-        scanned.append({"removed": list(map(list, rep)), "q_lower": est.lower})
+        scanned.append({"removed": removed, "q_lower": est.lower})
         key = (est.lower, member.y_internal_edges())
         if best is None or key > best[0]:
             best = (key, member, est)

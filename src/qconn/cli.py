@@ -55,13 +55,17 @@ def _parse_edge_spec(spec: str):
 
 def _cmd_encode(args) -> int:
     with nullcontext(sys.stdin) if args.input == "-" else open(args.input) as fh:
-        lines = [ln for ln in fh if ln.strip()]
-    n = int(lines[0])
-    edges = []
-    for ln in lines[1:]:
-        u, v = ln.split()
-        edges.append((int(u), int(v)))
-    print(write_graph6(Graph(n, edges)))
+        lines = [(i, ln.split()) for i, ln in enumerate(fh, 1) if ln.strip()]
+
+    def ints(i, fields, what):
+        if len(fields) != len(what.split()) or not all(f.isdecimal() for f in fields):
+            raise CorpusError(f"expected '{what}', got {' '.join(fields)!r}", i)
+        return [int(f) for f in fields]
+
+    if not lines:
+        raise CorpusError("expected the vertex count 'n', got no input", 1)
+    (n,) = ints(*lines[0], "n")
+    print(write_graph6(Graph(n, [tuple(ints(i, f, "u v")) for i, f in lines[1:]])))
     return 0
 
 
@@ -127,6 +131,8 @@ def _cmd_certify(args) -> int:
 
 def _cmd_construct(args) -> int:
     if args.family == "A":
+        if args.delta is None:
+            raise CampaignError("construct --family A needs --delta")
         params = ExtremalParams(args.n, args.k, args.delta)
         member = make_member(params, _parse_edge_spec(args.remove))
         g = member.graph
@@ -178,13 +184,12 @@ def _cmd_verify(args) -> int:
         return 0 if ok else 1
 
     params = ExtremalParams(args.n, args.k, args.delta)
-    if lemma == "3.1":
-        removed = _parse_edge_spec(args.remove) if args.remove else []
-        rep = certifier.check_lemma_3_1(params, removed, args.tol)
-    elif lemma == "3.2":
-        removed = (_parse_edge_spec(args.remove) if args.remove
+    if lemma in ("3.1", "3.2"):
+        # 3.2 defaults to the first A2 representative, 3.1 to the intact A
+        removed = (_parse_edge_spec(args.remove) if args.remove or lemma == "3.1"
                    else enumerate_Eprime_orbits(params, params.eprime_bound + 1)[0])
-        rep = certifier.check_lemma_3_2(params, removed, args.tol)
+        checker = certifier.check_lemma_3_1 if lemma == "3.1" else certifier.check_lemma_3_2
+        rep = checker(make_member(params, removed), args.tol)
     elif lemma == "3.3":
         rep = certifier.check_lemma_3_3(_member_for_verify(args, params))
     elif lemma in ("orderings", "3.7"):

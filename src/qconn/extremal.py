@@ -22,6 +22,7 @@ Vertex layout of every constructed graph: Y first (0..k-2), then X
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -133,8 +134,11 @@ class FamilyMember:
         return self.partition.refine(self.graph, self.params)
 
     def y_internal_edges(self) -> int:
+        """Edges inside Y: all C(|Y|,2) of A's, less the removed Y-Y ones
+        (``removed_edges`` lists every edge of A the graph lacks)."""
         y = set(self.partition.Y)
-        return sum(1 for u, v in self.graph.edges() if u in y and v in y)
+        lost = sum(1 for u, v in self.removed_edges if u in y and v in y)
+        return math.comb(len(y), 2) - lost
 
     def to_dict(self) -> dict:
         return {
@@ -240,7 +244,9 @@ def make_member(params: ExtremalParams, removed: Iterable[Edge]) -> FamilyMember
 # endpoint-sharing pattern.  Orbits are found by brute canonicalization on
 # a shrunken instance (|Z| capped at 2*size+1, large enough to hold any
 # configuration's Z-support) and the representatives lift to full scale
-# unchanged because the first few Z vertices exist at any scale.
+# unchanged: the shrunken order delta + 1 + min(|Z|, 2*size + 1) is at most
+# n, so Y and the first few Z vertices exist at any scale.  Every order of
+# one (k, delta, size) shrinks to the same instance and shares its census.
 
 
 def _canonical_config(edges: Sequence[Edge], y_set: frozenset, z_set: frozenset) -> Tuple:
@@ -294,6 +300,12 @@ def shrunken_params(params: ExtremalParams, size: int) -> ExtremalParams:
     return ExtremalParams(params.delta + 1 + z_cap, params.k, params.delta)
 
 
+@functools.cache
+def _orbit_representatives(small: ExtremalParams, size: int) -> Tuple[Tuple[Edge, ...], ...]:
+    """The sorted census representatives of one shrunken instance."""
+    return tuple(sorted(rep for rep, _ in orbit_census(small, size)))
+
+
 def enumerate_Eprime_orbits(params: ExtremalParams, size: int) -> List[Tuple[Edge, ...]]:
     """One representative per orbit of size-``size`` E' configurations under
     the Y-internal and Z-internal permutations, as full-scale edge lists.
@@ -302,15 +314,14 @@ def enumerate_Eprime_orbits(params: ExtremalParams, size: int) -> List[Tuple[Edg
         raise ValueError(f"size {size} outside 0..{params.eprime_bound + 1}")
     if size == 0:
         return [()]
-    small = shrunken_params(params, size)
-    reps = [rep for rep, _ in orbit_census(small, size)]
-    # representatives use Y = 0..k-2 and the first few Z vertices; both
-    # exist unchanged at full scale, so lifting is the identity relabeling
-    for rep in reps:
-        for u, v in rep:
-            if max(u, v) >= params.n:
-                raise AssertionError("shrunken representative exceeds full scale")
-    return sorted(reps)
+    return list(_orbit_representatives(shrunken_params(params, size), size))
+
+
+def family_members(params: ExtremalParams, size: int) -> List[FamilyMember]:
+    """``make_member(params, rep)`` for each orbit representative of this
+    size, in ``enumerate_Eprime_orbits`` order: the one way the family
+    checks and campaigns build exceptional members."""
+    return [make_member(params, rep) for rep in enumerate_Eprime_orbits(params, size)]
 
 
 # -- membership classification ------------------------------------------------

@@ -30,8 +30,7 @@ from .extremal import (
     ExtremalParams,
     build_A,
     classify_membership,
-    enumerate_Eprime_orbits,
-    make_member,
+    family_members,
     q_threshold,
 )
 from .graphs import (
@@ -481,19 +480,13 @@ def _run_counterexample(config: CampaignConfig, report: Report) -> None:
 
 def _run_theorem15(config: CampaignConfig, report: Report) -> None:
     params = ExtremalParams(config.n if config.n is not None else 103, config.k, config.delta)
-    expected = []
-    kn = complete(params.n)
-    expected.append(("K_n", kn, certifier.K_CONNECTED_CERTIFIED))
-    for size in range(params.eprime_bound + 1):
-        for rep in enumerate_Eprime_orbits(params, size):
-            member = make_member(params, rep)
-            if member.hypothesis_ok:
-                expected.append((f"A1 size {size} {list(rep)}", member.graph,
-                                 certifier.EXCEPTIONAL_FAMILY))
-    for rep in enumerate_Eprime_orbits(params, params.eprime_bound + 1):
-        member = make_member(params, rep)
-        if member.hypothesis_ok:
-            expected.append((f"A2 {list(rep)}", member.graph, certifier.CONDITION_NOT_MET))
+    expected = [("K_n", complete(params.n), certifier.K_CONNECTED_CERTIFIED)]
+    for size in range(params.eprime_bound + 2):
+        a1 = size <= params.eprime_bound
+        label = f"A1 size {size}" if a1 else "A2"
+        want = certifier.EXCEPTIONAL_FAMILY if a1 else certifier.CONDITION_NOT_MET
+        expected += [(f"{label} {list(member.removed_edges)}", member.graph, want)
+                     for member in family_members(params, size) if member.hypothesis_ok]
     for label, g, want in expected:
         verdict = certifier.certify(g, config.k, tolerance=config.tolerance)
         report.items.append({"label": label, "outcome": verdict.outcome, "expected": want})
@@ -513,14 +506,13 @@ def _run_family_sweep(config: CampaignConfig, report: Report) -> None:
     params = ExtremalParams(config.n if config.n is not None else 103, config.k, config.delta)
     reports = []
     for size in range(params.eprime_bound + 1):
-        for rep in enumerate_Eprime_orbits(params, size):
-            reports.append(certifier.check_lemma_3_1(params, rep, config.tolerance))
-    for rep in enumerate_Eprime_orbits(params, params.eprime_bound + 1):
-        member = make_member(params, rep)
+        for member in family_members(params, size):
+            reports.append(certifier.check_lemma_3_1(member, config.tolerance))
+    for member in family_members(params, params.eprime_bound + 1):
         if not member.hypothesis_ok:
             report.skip()
             continue
-        reports.append(certifier.check_lemma_3_2(params, rep, config.tolerance))
+        reports.append(certifier.check_lemma_3_2(member, config.tolerance))
         reports.append(certifier.check_lemma_3_3(member))
     maximizer, _, scanned = certifier.select_max_member(params, params.eprime_bound + 1)
     note = f"empirical over {len(scanned)} representatives"

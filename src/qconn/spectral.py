@@ -243,14 +243,18 @@ def _estimate(g, runs, tol) -> SpectralEstimate:
                             all(r[5] for r in runs) and upper - lower <= tol, tol)
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not tolerance > 0:  # NaN fails this test too
+        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+
+
 def q_index(g: Graph, tolerance: float = DEFAULT_TOL, max_iterations: int = DEFAULT_MAX_ITER) -> SpectralEstimate:
     """Certified bracket for the Q-index q(G).
 
     Disconnected graphs are handled per component and the maximum is
     reported; an isolated vertex contributes eigenvalue 0.
     """
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_tolerance(tolerance)
     return _estimate(g, _component_runs(g, tolerance, max_iterations), tolerance)
 
 
@@ -321,6 +325,7 @@ def _decide(g: Graph, threshold, strict: bool,
     """Certified test of ``q(G) > threshold`` (``strict``) or
     ``q(G) >= threshold`` (module docstring).  The reported count is the
     float run's plus the integer steps v0, v1 tried."""
+    _check_tolerance(tolerance)
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
     # numpy integers lack as_integer_ratio; Fraction takes any real type

@@ -27,6 +27,7 @@ from qconn import (
     dirac_condition,
     empty,
     enumerate_Eprime_orbits,
+    family_members,
     is_connected,
     is_k_connected,
     iter_labeled_graphs,
@@ -301,43 +302,43 @@ def test_lemma_2_3_not_triggered():
 
 
 def test_lemma_3_1_identity_values():
-    rep = check_lemma_3_1(PARAMS, [])
+    rep = check_lemma_3_1(make_member(PARAMS, []))
     assert rep.passed
     assert rep.details["identity_value"] == 4
     assert rep.details["exact_rayleigh"] == Fraction(200) + Fraction(4, 101)
-    rep = check_lemma_3_1(PARAMS, [(0, 1)])
+    rep = check_lemma_3_1(make_member(PARAMS, [(0, 1)]))
     assert rep.passed
     assert rep.details["identity_value"] == 0
     assert rep.details["exact_rayleigh"] == Fraction(200)
     with pytest.raises(ValueError):
-        check_lemma_3_1(PARAMS, [(0, 4), (4, 5)])  # A2 member
+        check_lemma_3_1(make_member(PARAMS, [(0, 4), (4, 5)]))  # A2 member
 
 
 def test_lemma_3_1_all_representatives():
     for size in (0, 1):
-        for rep in enumerate_Eprime_orbits(PARAMS, size):
-            out = check_lemma_3_1(PARAMS, rep)
+        for member in family_members(PARAMS, size):
+            out = check_lemma_3_1(member)
             assert out.passed
             assert out.details["q_lower"] >= 200 - 1e-6
 
 
 def test_lemma_3_2_identity_values():
-    rep = check_lemma_3_2(PARAMS, [(0, 4), (4, 5)])
+    rep = check_lemma_3_2(make_member(PARAMS, [(0, 4), (4, 5)]))
     assert rep.passed
     assert rep.details["identity_value"] == -4
     assert rep.details["q_lower"] > 199
     with pytest.raises(ValueError):
-        check_lemma_3_2(PARAMS, [(0, 1)])  # A1 member
+        check_lemma_3_2(make_member(PARAMS, [(0, 1)]))  # A1 member
     # sanity at (k, delta) = (3, 4): identity 6 - 8 = -2 >= -4
     p34 = ExtremalParams(185, 3, 4)
     assert p34.eprime_bound == 1
-    rep = check_lemma_3_2(p34, [(0, 5), (5, 6)])  # Z starts at delta+1 = 5
+    rep = check_lemma_3_2(make_member(p34, [(0, 5), (5, 6)]))  # Z starts at delta+1 = 5
     assert rep.passed and rep.details["identity_value"] == -2
 
 
 def test_lemma_3_2_all_representatives():
-    for rep in enumerate_Eprime_orbits(PARAMS, 2):
-        out = check_lemma_3_2(PARAMS, rep)
+    for member in family_members(PARAMS, 2):
+        out = check_lemma_3_2(member)
         assert out.passed
 
 
@@ -420,9 +421,9 @@ def test_lemma_verdicts_exact_at_every_small_order():
             params = ExtremalParams(n, k, delta)
             for size in range(params.eprime_bound + 2):
                 check = check_lemma_3_1 if size <= params.eprime_bound else check_lemma_3_2
-                for rep in enumerate_Eprime_orbits(params, size):
-                    if make_member(params, rep).hypothesis_ok:
-                        assert check(params, rep).passed, (k, delta, n, rep)
+                for member in family_members(params, size):
+                    if member.hypothesis_ok:
+                        assert check(member).passed, (k, delta, n, member.removed_edges)
             out = check_lemma_3_8(params)
             assert out.passed and out.applicable == (n == threshold_F(k, delta)), (k, delta, n)
             if out.findings:

@@ -214,6 +214,39 @@ def test_bad_input_exit_code(tmp_path, capsys):
     assert code == 2  # n <= delta + 1
 
 
+def test_input_errors_exit_2_with_their_line(monkeypatch, capsys):
+    for data, where in ((b"", "line 1"), (b"3\n0 1 2\n", "line 2"), (b"3\n0 1\n\nx 2\n", "line 4")):
+        _patch_stdin(monkeypatch, data)
+        assert main(["encode", "-"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and where in err, err
+    assert main(["construct", "--family", "A", "--n", "20", "--k", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--delta" in err
+
+
+def test_nan_tolerance_exits_2(tmp_path, capsys):
+    f = tmp_path / "k4.g6"
+    f.write_text(write_graph6(complete(4)) + "\n")
+    assert main(["compute-q", "--tol", "nan", str(f)]) == 2
+    assert "tolerance" in capsys.readouterr().err
+
+
+def _refuse(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+@pytest.mark.parametrize("n,k,delta", [(5, 3, 3), (6, 3, 3), (6, 3, 4), (7, 3, 4), (8, 3, 4), (6, 4, 4)])
+def test_lemma_3_8_json_without_hypothesis_members(capsys, n, k, delta):
+    # no A2 member meets the hypotheses here: the extremes are null, not +-Infinity
+    code, out = run_cli(capsys, "verify", "--lemma", "3.8", "--n", str(n), "--k", str(k),
+                        "--delta", str(delta), "--json")
+    assert code == 0
+    details = json.loads(out, parse_constant=_refuse)["details"]
+    assert details["per_representative"] == []
+    assert details["max_q_upper"] is None and details["min_gap"] is None
+
+
 def _patch_stdin(monkeypatch, data: bytes):
     monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
 

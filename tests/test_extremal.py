@@ -11,10 +11,12 @@ from qconn import (
     build_M,
     classify_membership,
     complete,
+    cycle,
     degree_profile,
     disjoint_union,
     empty,
     enumerate_Eprime_orbits,
+    family_members,
     is_k_connected,
     join,
     make_member,
@@ -22,7 +24,9 @@ from qconn import (
     q_threshold,
     threshold_F,
 )
+import qconn.extremal as extremal_mod
 from qconn.extremal import FAMILY_A1, FAMILY_A2, FAMILY_SUBGRAPH, shrunken_params
+from qconn.harness import CampaignConfig, run_campaign
 
 from conftest import petersen
 
@@ -227,6 +231,67 @@ def test_orbits_cover_all_configs_exactly_once():
     small = shrunken_params(ExtremalParams(103, 3, 3), 2)
     reps = {rep for rep, _ in orbit_census(small, 2)}
     assert len(reps) == 9
+
+
+def test_family_members_are_the_made_members():
+    params = ExtremalParams(103, 3, 3)
+    for size in range(params.eprime_bound + 2):
+        made = [make_member(params, rep) for rep in enumerate_Eprime_orbits(params, size)]
+        assert family_members(params, size) == made
+
+
+@pytest.fixture
+def census_calls(monkeypatch):
+    """Clear the census cache and record each ``orbit_census`` call."""
+    calls = []
+    census = extremal_mod.orbit_census
+
+    def spy(small, size):
+        calls.append((small, size))
+        return census(small, size)
+
+    extremal_mod._orbit_representatives.cache_clear()
+    monkeypatch.setattr(extremal_mod, "orbit_census", spy)
+    yield calls
+    extremal_mod._orbit_representatives.cache_clear()
+
+
+def test_one_census_per_shrunken_instance(census_calls):
+    # the A1 and A2 sizes once each, across both campaigns
+    for mode in ("family-sweep", "theorem15"):
+        assert run_campaign(CampaignConfig(mode=mode, n=103, k=3, delta=3)).failed == 0
+    assert [size for _, size in census_calls] == [1, 2]
+
+
+def test_orders_of_one_shrunken_instance_share_its_census(census_calls):
+    assert shrunken_params(ExtremalParams(60, 3, 3), 2) == shrunken_params(ExtremalParams(103, 3, 3), 2)
+    first = family_members(ExtremalParams(60, 3, 3), 2)
+    second = family_members(ExtremalParams(103, 3, 3), 2)
+    assert len(census_calls) == 1
+    assert [m.removed_edges for m in first] == [m.removed_edges for m in second]
+
+
+def _y_edges_by_walk(member):
+    y = set(member.partition.Y)
+    return sum(1 for u, v in member.graph.edges() if u in y and v in y)
+
+
+def test_y_internal_edges_matches_the_edge_walk():
+    params = ExtremalParams(103, 3, 3)
+    members = [m for size in range(params.eprime_bound + 2) for m in family_members(params, size)]
+    # permissive SUBGRAPH members: removed_edges lists every edge of A they lack
+    subgraphs = [classify_membership(cycle(8), 3, 3, permissive=True)]
+    a10, part = build_A(ExtremalParams(10, 3, 4))
+    for x, y in itertools.product(part.X, part.Y):
+        for extra in ((), ((0, 1),), ((0, 5),), ((5, 6),), ((0, 1), (5, 6))):
+            damaged = a10.with_edges_removed([(min(x, y), max(x, y)), *extra])
+            subgraphs.append(classify_membership(damaged, 3, 4, permissive=True))
+    assert all(m.family_class == FAMILY_SUBGRAPH for m in subgraphs)
+    y_pairs = [m for m in subgraphs if any(u in m.partition.Y and v in m.partition.Y
+                                           for u, v in m.removed_edges)]
+    assert len(subgraphs) == 31 and len(y_pairs) == 13
+    for member in members + subgraphs:
+        assert member.y_internal_edges() == _y_edges_by_walk(member), member.removed_edges
 
 
 # -- classification --------------------------------------------------------------------

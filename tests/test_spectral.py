@@ -626,6 +626,17 @@ def test_deciders_reject_non_finite_thresholds(bad):
                 decide(g, bad)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_tolerance_must_be_positive(bad):
+    # NaN compares false with everything, so a ``tolerance <= 0`` test lets it through
+    for g in (path(3), complete(40)):
+        with pytest.raises(ValueError, match="tolerance"):
+            q_index(g, bad)
+        for decide in (decide_q_ge, decide_q_gt):
+            with pytest.raises(ValueError, match="tolerance"):
+                decide(g, 3.0, bad)
+
+
 # -- eigen identities ------------------------------------------------------------
 
 
