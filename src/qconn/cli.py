@@ -48,7 +48,9 @@ def _parse_edge_spec(spec: str):
     if not spec:
         return edges
     for chunk in spec.split(","):
-        a, _, b = chunk.partition("-")
+        a, sep, b = chunk.partition("-")
+        if not (sep and a.strip().isdecimal() and b.strip().isdecimal()):
+            raise ValueError(f"--remove: bad edge {chunk!r}, expected 'u-v' with vertex numbers u, v")
         edges.append((int(a), int(b)))
     return edges
 
@@ -65,7 +67,14 @@ def _cmd_encode(args) -> int:
     if not lines:
         raise CorpusError("expected the vertex count 'n', got no input", 1)
     (n,) = ints(*lines[0], "n")
-    print(write_graph6(Graph(n, [tuple(ints(i, f, "u v")) for i, f in lines[1:]])))
+    first = {}  # edge (low, high) -> the line that gave it
+    for i, f in lines[1:]:
+        u, v = ints(i, f, "u v")
+        edge = (min(u, v), max(u, v))
+        if edge in first:
+            raise CorpusError(f"repeated edge {u} {v} (first on line {first[edge]})", i)
+        first[edge] = i
+    print(write_graph6(Graph(n, first)))
     return 0
 
 

@@ -467,7 +467,7 @@ def _counterexample_chunk(task: tuple) -> Report:
 def _run_counterexample(config: CampaignConfig, report: Report) -> None:
     n = config.n if config.n is not None else 103
     floor = config.min_degree_floor if config.min_degree_floor is not None else config.delta
-    chunk = max(1, math.ceil(config.count / max(1, config.workers * 4)))
+    chunk = max(1, math.ceil(config.count / (config.workers * 4)))
     tasks = []
     for lo in range(0, config.count, chunk):
         tasks.append((lo, min(lo + chunk, config.count), config.seed, n,
@@ -555,6 +555,10 @@ RUNNERS = {
 def run_campaign(config: CampaignConfig) -> Report:
     if config.mode not in RUNNERS:
         raise CampaignError(f"unknown mode {config.mode!r}; choose from {tuple(RUNNERS)}")
+    if config.workers < 1:
+        raise CampaignError(f"workers must be at least 1, got {config.workers}")
+    if config.count < 0:
+        raise CampaignError(f"count must be nonnegative, got {config.count}")
     report = Report(mode=config.mode, config=config.to_dict())
     start = time.perf_counter()
     RUNNERS[config.mode](config, report)

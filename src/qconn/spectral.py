@@ -17,8 +17,13 @@ Q is the only operator here: the paper's condition is on q(G) alone.
 Each True or False of ``decide_q_ge`` and ``decide_q_gt`` is an integer
 proof: with T = num/den, comparing (Qv)_i * den with num * v_i at every i
 proves q > T, q >= T, q <= T or q < T for a positive integer vector v.
-Below order ``_SMALL_N`` a connected graph tries v0 = d + 1, then
-v1 = Q v0.  Otherwise one float run's iterate is rounded to integers >= 1
+The first rung is the ones vector, whose quotients are Q1 = 2d: q <= 2
+max degree (Cvetkovic, Rowlinson and Simic, Linear Algebra Appl. 2007),
+so 2 max degree < T (<= T for q > T) is False from the degree tuple
+alone, with no float run; its bracket is [2 min degree, 2 max degree].
+The rung is one-sided: a graph with 2 min degree >= T goes on to the
+next rungs.  Below order ``_SMALL_N`` a connected graph tries v0 = d + 1,
+then v1 = Q v0.  Otherwise one float run's iterate is rounded to integers >= 1
 at scale 2^30; failing that, the unclamped rounding (lower side only),
 then v0 and v1.  Else the answer is None.  A decision's bracket contains
 q: the deciding vector's extreme quotients rounded one ulp outward, or
@@ -323,14 +328,24 @@ def _rounded_proof(sub: Graph, vec, num: int, den: int, strict: bool, floor: flo
 def _decide(g: Graph, threshold, strict: bool,
             tolerance: float) -> Tuple[Optional[bool], SpectralEstimate]:
     """Certified test of ``q(G) > threshold`` (``strict``) or
-    ``q(G) >= threshold`` (module docstring).  The reported count is the
-    float run's plus the integer steps v0, v1 tried."""
+    ``q(G) >= threshold`` (module docstring).  The degree rung comes
+    first, before any component or float work: where 2 max degree proves
+    False, the estimate is the ones vector's, one iteration.  Otherwise
+    the reported count is the float run's plus the integer steps v0, v1
+    tried."""
     _check_tolerance(tolerance)
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
     # numpy integers lack as_integer_ratio; Fraction takes any real type
     exact = threshold if isinstance(threshold, float) else Fraction(threshold)
     num, den = exact.as_integer_ratio()
+    degs = g.degrees()
+    top = 2 * max(degs, default=0)  # the degree rung: Q1 = 2d, so q <= 2 max degree
+    if g.n and (top * den < num or (strict and top * den == num)):
+        lower = math.nextafter(2 * min(degs), -math.inf)
+        upper = math.nextafter(top, math.inf)
+        return False, SpectralEstimate(lower, upper, np.full(g.n, 1.0 / math.sqrt(g.n)), 1,
+                                       upper - lower <= tolerance, tolerance)
     steps = 0
     if 0 < g.n < _SMALL_N and len(components(g)) == 1:
         decision, v, lower, upper, steps = _exact_steps(g, num, den, strict)
@@ -371,8 +386,10 @@ def decide_q_ge(g: Graph, threshold: float,
     True or False only when an integer Collatz-Wielandt certificate proves
     it (module docstring), so an exact tie such as q(K_n) = 2n - 2 comes
     back True; None when neither the rounded float iterate nor v0 = d + 1,
-    v1 = Q v0 proves anything.  A NaN or infinite threshold raises
-    ``ValueError``.
+    v1 = Q v0 proves anything.  A threshold above twice the largest degree
+    is False at once, from the degree tuple, with the bracket [2 min
+    degree, 2 max degree] rounded one ulp outward.  A NaN or infinite
+    threshold raises ``ValueError``.
     """
     return _decide(g, threshold, False, tolerance)
 

@@ -274,6 +274,30 @@ def test_decoded_graph_builds_bit_rows_only_where_read(make_graph, outcome, buil
     assert calls == [(103, 103)] * builds
 
 
+def test_decoded_rejection_runs_no_float_work(monkeypatch):
+    # p = 0.5 at n = 103: 2 max degree < T = 200, so the degree rung rejects
+    # before any component walk or float run
+    from qconn import spectral
+
+    calls = []
+    for name in ("_component_runs", "_iterate_np"):
+        def spy(*args, _name=name, _real=getattr(spectral, name)):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(spectral, name, spy)
+    g = parse_graph6(write_graph6(random_graph(103, 0.5, 3, seed=0)))
+    verdict = certify(g, 3)
+    degs = g.degrees()
+    assert verdict.outcome == CONDITION_NOT_MET and 2 * max(degs) < verdict.threshold
+    assert calls == []
+    assert (verdict.spectral.lower, verdict.spectral.upper) == (
+        np.nextafter(2 * min(degs), -np.inf), np.nextafter(2 * max(degs), np.inf))
+    # the spies do see the float path of a rejection the rung cannot make
+    assert certify(make_member(PARAMS, _A2).graph, 3).outcome == CONDITION_NOT_MET
+    assert calls == ["_component_runs", "_iterate_np"]
+
+
 # -- lemma 2.3 -------------------------------------------------------------------
 
 

@@ -215,7 +215,9 @@ def test_bad_input_exit_code(tmp_path, capsys):
 
 
 def test_input_errors_exit_2_with_their_line(monkeypatch, capsys):
-    for data, where in ((b"", "line 1"), (b"3\n0 1 2\n", "line 2"), (b"3\n0 1\n\nx 2\n", "line 4")):
+    for data, where in ((b"", "line 1"), (b"3\n0 1 2\n", "line 2"), (b"3\n0 1\n\nx 2\n", "line 4"),
+                        (b"3\n0 1\n0 1\n", "line 3: repeated edge 0 1 (first on line 2)"),
+                        (b"3\n0 1\n2 1\n\n1 0\n", "line 5: repeated edge 1 0 (first on line 2)")):
         _patch_stdin(monkeypatch, data)
         assert main(["encode", "-"]) == 2
         err = capsys.readouterr().err
@@ -223,6 +225,12 @@ def test_input_errors_exit_2_with_their_line(monkeypatch, capsys):
     assert main(["construct", "--family", "A", "--n", "20", "--k", "3"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "--delta" in err
+    for spec in ("0-", "0-5,x-1", "05"):
+        assert main(["construct", "--family", "A", "--n", "20", "--k", "3", "--delta", "3",
+                     "--remove", spec]) == 2
+        err = capsys.readouterr().err
+        bad = spec.split(",")[-1]
+        assert err.startswith("error: --remove: ") and repr(bad) in err and "'u-v'" in err, err
 
 
 def test_nan_tolerance_exits_2(tmp_path, capsys):

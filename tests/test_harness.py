@@ -306,6 +306,19 @@ def test_campaign_bad_mode():
         run_campaign(CampaignConfig(mode="nope"))
 
 
+@pytest.mark.parametrize("option,value", [("workers", 0), ("workers", -1), ("count", -1)])
+def test_campaign_refuses_bad_counts(option, value, capsys):
+    with pytest.raises(CampaignError, match=option):
+        run_campaign(CampaignConfig(**{"mode": "counterexample", "n": 20, "count": 4, option: value}))
+    assert main(["sweep", "--mode", "counterexample", "--n", "20", f"--{option}", str(value)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {option} must be")
+
+
+def test_campaign_with_count_zero_tests_nothing():
+    report = run_campaign(CampaignConfig(mode="counterexample", n=20, count=0))
+    assert report.tested == 0 and report.counters_consistent()
+
+
 def test_report_json_shape():
     report = Report(mode="lemma22", config={})
     payload = report.to_dict()

@@ -526,6 +526,27 @@ def test_exact_ties_at_integer_thresholds(g, t):
         assert est.lower < t < est.upper  # outward rounded around the exact quotients
 
 
+def test_degree_rung_rejects_with_the_ones_vector_bracket():
+    # Q1 = 2d, so q <= 2 max degree: a threshold above it (at it, for q > T)
+    # is False from the degree tuple, with the ones vector's extreme
+    # quotients rounded one ulp outward, in one iteration
+    rng = np.random.default_rng(808)
+    cases = [complete(40), cycle(50), star(40), disjoint_union(cycle(4), empty(2)),
+             random_graph_mask(103, rng, p=0.5)]
+    for g in cases:
+        degs = g.degrees()
+        top = 2 * max(degs)
+        lower = math.nextafter(2 * min(degs), -math.inf)
+        upper = math.nextafter(top, math.inf)
+        for decide, t in ((decide_q_gt, top), (decide_q_ge, math.nextafter(top, math.inf)),
+                          (decide_q_ge, Fraction(2 * top + 1, 2))):
+            got, est = decide(g, t)
+            assert got is False, (decide.__name__, t)
+            assert (est.lower, est.upper, est.iterations) == (lower, upper, 1)
+            assert est.converged == (upper - lower <= 1e-9)
+            assert est.vector == pytest.approx(np.full(g.n, 1 / math.sqrt(g.n)), rel=1e-15)
+
+
 def test_star_needs_the_second_integer_vector():
     # v0 = d + 1 gives quotients 4.5 (centre) and 3 (leaves) around q = 4;
     # v1 = Q v0 is the Perron vector, so every quotient equals 4 exactly
@@ -594,18 +615,29 @@ def test_exact_decisions_agree_with_eigvalsh_on_every_small_connected_graph():
             if not is_connected(g):
                 continue
             q = q_index_dense_oracle(g)
+            # q <= 2 max degree, with equality just on the regular graphs,
+            # where it is exact and eigvalsh may miss it by an ulp
+            top = 2 * max(g.degrees())
+            regular = 2 * min(g.degrees()) == top
+            if regular:
+                q = float(top)
+            assert q < top - 1e-9 or regular
             # one threshold well below q, one well above, and the edge bound
-            # as the lemma22 sweep tests it, which d + 1 or Q(d + 1) must settle
+            # as the lemma22 sweep tests it, which d + 1 or Q(d + 1) must settle;
+            # then 2 max degree and its neighbours, around the degree rung
             cases = [(math.floor(q) - 1, False), (math.ceil(q) + 1, False)]
             if n > 1:
                 cases.append((q_upper_bound_edges(g) + 1e-9, True))
+            cases += [(t, False) for t in (top, math.nextafter(top, -math.inf),
+                                           math.nextafter(top, math.inf), top - 1)]
             for t, exact in cases:
-                if abs(q - t) <= 1e-9:
+                if abs(q - t) <= 1e-9 and not regular:
                     continue
                 for decide, want in ((decide_q_gt, q > t), (decide_q_ge, q >= t)):
                     got, est = decide(g, t)
                     assert got is want, (write_graph6(g), t, decide.__name__)
-                    assert est.lower <= q + 1e-12 and q - 1e-12 <= est.upper
+                    slack = 0.0 if regular else 1e-12
+                    assert est.lower <= q + slack and q - slack <= est.upper
                     assert est.iterations <= 2 or not exact, (write_graph6(g), t)
 
 
