@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +41,6 @@ from .extremal import (
     ExtremalParams,
     FamilyMember,
     classify_membership,
-    family_members,
     q_threshold,
     threshold_F,
 )
@@ -250,35 +249,34 @@ def _member_z_vector(member: FamilyMember) -> list:
     return z
 
 
-def _rayleigh_evidence(member: FamilyMember, family_class: str, tolerance: float) -> dict:
+def _rayleigh_evidence(member: FamilyMember, family_class: str) -> dict:
     """Shared body of checks 3.1 and 3.2: check the member's class, and
     record the exact Rayleigh quotient R of the Y u Z indicator z, the
     proof's integer identity <Qz,z> - <Q(K_p u empty)z,z> = R*p - 4*C(p,2)
-    (p = |Y u Z|) beside its closed form, and the float ``q_index``
+    (p = |Y u Z|) beside its closed form, and the member's float
     bracket, which is reported only."""
     if member.family_class != family_class:
         raise ValueError(f"member is not in class {family_class}")
     params = member.params
     p = params.y_size + params.z_size
     rayleigh = rayleigh_q_exact(member.graph, _member_z_vector(member))
-    est = q_index(member.graph, tolerance)
     return {
         "threshold": q_threshold(params),
         "identity_value": int(rayleigh * p) - 4 * math.comb(p, 2),
         "identity_closed_form": (params.delta - params.k + 2) * (params.k - 1)
                                 - 4 * len(member.removed_edges),
         "exact_rayleigh": rayleigh,
-        "q_lower": est.lower,
-        "q_upper": est.upper,
+        "q_lower": member.estimate.lower,
+        "q_upper": member.estimate.upper,
     }
 
 
-def check_lemma_3_1(member: FamilyMember, tolerance: float = 1e-9) -> LemmaReport:
+def check_lemma_3_1(member: FamilyMember) -> LemmaReport:
     """A1 members reach the spectral threshold t.  The proof's integer
     identity (delta-k+2)(k-1) - 4|E'| >= 0 is checked against R, and the
     exact Rayleigh quotient R = t + identity/|Y u Z| >= t of the Y u Z
     indicator proves q >= R >= t; no float enters the verdict."""
-    details = _rayleigh_evidence(member, FAMILY_A1, tolerance)
+    details = _rayleigh_evidence(member, FAMILY_A1)
     t, actual = details["threshold"], details["identity_value"]
     params = member.params
     details["margin"] = details["q_lower"] - t
@@ -291,11 +289,11 @@ def check_lemma_3_1(member: FamilyMember, tolerance: float = 1e-9) -> LemmaRepor
     return LemmaReport("3.1", passed=passed, details=details)
 
 
-def check_lemma_3_2(member: FamilyMember, tolerance: float = 1e-9) -> LemmaReport:
+def check_lemma_3_2(member: FamilyMember) -> LemmaReport:
     """A2 members stay above t - 1.  The proof identity >= -4 is checked
     against R, and the exact Rayleigh quotient R > t - 1 of the Y u Z
     indicator proves q >= R > t - 1; no float enters the verdict."""
-    details = _rayleigh_evidence(member, FAMILY_A2, tolerance)
+    details = _rayleigh_evidence(member, FAMILY_A2)
     t, actual = details["threshold"], details["identity_value"]
     details["margin"] = details["q_lower"] - (t - 1)
     passed = (
@@ -306,17 +304,17 @@ def check_lemma_3_2(member: FamilyMember, tolerance: float = 1e-9) -> LemmaRepor
     return LemmaReport("3.2", passed=passed, details=details)
 
 
-def _normalized_vector(member: FamilyMember, tolerance: float) -> Tuple[np.ndarray, SpectralEstimate]:
-    est = q_index(member.graph, tolerance)
+def _normalized_vector(member: FamilyMember) -> Tuple[np.ndarray, SpectralEstimate]:
+    est = member.estimate
     if not est.converged:
         raise ValueError("spectral estimate did not converge")
     x = est.vector / est.vector.max()
     return x, est
 
 
-def check_lemma_3_3(member: FamilyMember, tolerance: float = 1e-10) -> LemmaReport:
+def check_lemma_3_3(member: FamilyMember) -> LemmaReport:
     """Perron entries on X are equal and bounded by (k-1)/(q - (2*delta-k+1))."""
-    x, est = _normalized_vector(member, tolerance)
+    x, est = _normalized_vector(member)
     p = member.params
     xvals = [float(x[v]) for v in member.partition.X]
     denom = est.upper - (2 * p.delta - p.k + 1)
@@ -331,7 +329,7 @@ def check_lemma_3_3(member: FamilyMember, tolerance: float = 1e-10) -> LemmaRepo
         "q_lower": est.lower,
         "q_upper": est.upper,
     }
-    passed = slack >= -10 * tolerance and spread <= 10 * tolerance
+    passed = slack >= -10 * est.tolerance and spread <= 10 * est.tolerance
     return LemmaReport("3.3", passed=passed, details=details)
 
 
@@ -343,12 +341,7 @@ _ORDERINGS = (
 )
 
 
-def check_orderings(
-    member: FamilyMember,
-    tolerance: float = 1e-10,
-    is_maximizer: bool = True,
-    eq4_samples: int = 50,
-) -> LemmaReport:
+def check_orderings(member: FamilyMember, is_maximizer: bool = True) -> LemmaReport:
     """Strict Perron-entry orderings between the degree-refinement classes,
     plus a residual check of the rearranged eigen-identity on adjacent
     pairs whose neighbourhoods nest.
@@ -356,10 +349,10 @@ def check_orderings(
     The orderings are proved for the Q-maximizer of its class, so on other
     members a broken ordering is recorded as a finding, not a failure.
     """
-    x, est = _normalized_vector(member, tolerance)
+    x, est = _normalized_vector(member)
     y1, y2, z1, z2 = member.refinement()
     classes = {"Y1": y1, "Y2": y2, "Z1": z1, "Z2": z2}
-    margin = 10 * tolerance
+    margin = 10 * est.tolerance
     findings = []
     details = {
         "class_sizes": {c: len(v) for c, v in classes.items()},
@@ -398,7 +391,7 @@ def check_orderings(
     for _, hi, lo in _ORDERINGS:
         for i in classes[hi]:
             for j in classes[lo]:
-                if sampled >= eq4_samples:
+                if sampled >= 50:  # pairs checked against the identity
                     break
                 if not g.has_edge(i, j):
                     continue
@@ -419,12 +412,10 @@ def check_orderings(
     return LemmaReport("3.4+3.6", passed=ok, details=details, findings=tuple(findings))
 
 
-def check_lemma_3_7(
-    member: FamilyMember, tolerance: float = 1e-10, is_maximizer: bool = True
-) -> LemmaReport:
+def check_lemma_3_7(member: FamilyMember, is_maximizer: bool = True) -> LemmaReport:
     """Spread bound: max x_i - min_{Y u Z} x_j against the closed form with
     the certified q lower bound in the denominator."""
-    x, est = _normalized_vector(member, tolerance)
+    x, est = _normalized_vector(member)
     p = member.params
     inner = member.partition.Y + member.partition.Z
     lhs = float(x.max() - min(x[v] for v in inner))
@@ -447,15 +438,18 @@ def check_lemma_3_7(
     return LemmaReport("3.7", passed=holds, details=details)
 
 
-def check_lemma_3_8(params: ExtremalParams, tolerance: float = 1e-9) -> LemmaReport:
-    """Every A2 orbit representative stays strictly below the threshold t:
-    ``decide_q_ge(member, t)`` must return False, an exact certificate of
-    q < t, and an undecided member fails and is named in a finding.  The
-    float ``q_index`` brackets are reported only.  Below the order
+def check_lemma_3_8(members: Sequence[FamilyMember]) -> LemmaReport:
+    """Every A2 orbit representative of one (n, k, delta) stays strictly
+    below the threshold t: ``decide_q_ge(member, t)`` must return False, an
+    exact certificate of q < t, and an undecided member fails and is named
+    in a finding.  The float brackets are reported only.  Below the order
     threshold F the report is marked not applicable."""
+    if not members or any(m.family_class != FAMILY_A2 or m.params != members[0].params
+                          for m in members):
+        raise ValueError(f"3.8 takes the {FAMILY_A2} members of one (n, k, delta)")
+    params = members[0].params
     applicable = params.k >= 3 and params.n >= threshold_F(params.k, params.delta)
     t = q_threshold(params)
-    members = family_members(params, params.eprime_bound + 1)
     skipped = []
     findings = []
     ok = True
@@ -465,12 +459,12 @@ def check_lemma_3_8(params: ExtremalParams, tolerance: float = 1e-9) -> LemmaRep
         if not member.hypothesis_ok:
             skipped.append(removed)
             continue
-        decision, _ = decide_q_ge(member.graph, t, tolerance)
+        decision, _ = decide_q_ge(member.graph, t)
         if decision is None:
             findings.append(f"undecided: no integer certificate settles q >= {t} "
                             f"with E' = {removed}")
         ok = ok and decision is False
-        est = q_index(member.graph, tolerance)
+        est = member.estimate
         per_rep.append({"removed": removed, "q_upper": est.upper, "gap": t - est.upper})
     details = {
         "threshold": t,
@@ -486,27 +480,25 @@ def check_lemma_3_8(params: ExtremalParams, tolerance: float = 1e-9) -> LemmaRep
                        details=details, findings=tuple(findings))
 
 
-def select_max_member(
-    params: ExtremalParams, size: int, tolerance: float = 1e-10
-) -> Tuple[FamilyMember, SpectralEstimate, list]:
-    """Empirical Q-maximizer over the orbit representatives of this size,
-    ties broken toward more edges inside Y (the proof's normalization).
-    """
+def select_max_member(members: Sequence[FamilyMember]) -> Tuple[FamilyMember, list]:
+    """Empirical Q-maximizer of orbit representatives of one size by their
+    ``estimate.lower``, ties broken toward more edges inside Y (the proof's
+    normalization): the member, and one scan entry per representative."""
     best = None
     scanned = []
-    for member in family_members(params, size):
+    for member in members:
         removed = list(map(list, member.removed_edges))
         if not member.hypothesis_ok:
             scanned.append({"removed": removed, "skipped": True})
             continue
-        est = q_index(member.graph, tolerance)
-        scanned.append({"removed": removed, "q_lower": est.lower})
-        key = (est.lower, member.y_internal_edges())
+        lower = member.estimate.lower
+        scanned.append({"removed": removed, "q_lower": lower})
+        key = (lower, member.y_internal_edges())
         if best is None or key > best[0]:
-            best = (key, member, est)
+            best = (key, member)
     if best is None:
         raise ValueError("no hypothesis-satisfying representative at this size")
-    return best[1], best[2], scanned
+    return best[1], scanned
 
 
 # -- proof chain ---------------------------------------------------------------

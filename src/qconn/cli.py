@@ -22,6 +22,7 @@ from .extremal import (
     build_L,
     build_M,
     enumerate_Eprime_orbits,
+    family_members,
     make_member,
 )
 from .graphs import Graph, Graph6Error, write_graph6
@@ -167,7 +168,7 @@ def _member_for_verify(args, params: ExtremalParams):
     if args.remove:
         return make_member(params, _parse_edge_spec(args.remove))
     size = args.size if args.size is not None else params.eprime_bound + 1
-    member, _, _ = certifier.select_max_member(params, size)
+    member, _ = certifier.select_max_member(family_members(params, size))
     return member
 
 
@@ -179,7 +180,7 @@ def _cmd_verify(args) -> int:
             if lemma == "2.2":
                 bound = q_upper_bound_edges(g)
                 # proved, with no slack, by an integer certificate for q <= bound
-                decision, est = decide_q_gt(g, Fraction(2 * g.m, g.n - 1) + g.n - 2, args.tol)
+                decision, est = decide_q_gt(g, Fraction(2 * g.m, g.n - 1) + g.n - 2)
                 holds = None if decision is None else not decision  # None: undecided
                 payload = {"bound": bound, "q_upper": est.upper, "holds": holds}
                 text = "undecided" if holds is None else holds
@@ -198,7 +199,7 @@ def _cmd_verify(args) -> int:
         removed = (_parse_edge_spec(args.remove) if args.remove or lemma == "3.1"
                    else enumerate_Eprime_orbits(params, params.eprime_bound + 1)[0])
         checker = certifier.check_lemma_3_1 if lemma == "3.1" else certifier.check_lemma_3_2
-        rep = checker(make_member(params, removed), args.tol)
+        rep = checker(make_member(params, removed))
     elif lemma == "3.3":
         rep = certifier.check_lemma_3_3(_member_for_verify(args, params))
     elif lemma in ("orderings", "3.7"):
@@ -206,7 +207,7 @@ def _cmd_verify(args) -> int:
         checker = certifier.check_orderings if lemma == "orderings" else certifier.check_lemma_3_7
         rep = checker(_member_for_verify(args, params), is_maximizer=not args.remove)
     elif lemma == "3.8":
-        rep = certifier.check_lemma_3_8(params, args.tol)
+        rep = certifier.check_lemma_3_8(family_members(params, params.eprime_bound + 1))
     elif lemma == "chain":
         chain = certifier.verify_theorem_proof_chain(params)
         _emit(chain.to_dict(), args.json,
@@ -308,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=None, help="orbit size for maximizer-based checks")
     p.add_argument("--remove", default="", help="explicit removed edges 'u-v,u-v'")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("sweep", help="run a verification campaign")

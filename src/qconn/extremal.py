@@ -29,8 +29,11 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .graphs import Graph, _bits, complete, disjoint_union, empty, is_connected, join
+from .spectral import SpectralEstimate, q_index
 
 Edge = Tuple[int, int]
+
+ESTIMATE_TOLERANCE = 1e-10  # the tolerance of every member's one Perron estimate
 
 
 @dataclass(frozen=True)
@@ -129,6 +132,11 @@ class FamilyMember:
     @property
     def hypothesis_ok(self) -> bool:
         return self.connected and self.min_degree_ok
+
+    @functools.cached_property
+    def estimate(self) -> SpectralEstimate:
+        """The one Perron estimate, run on first read, that every lemma check reads."""
+        return q_index(self.graph, ESTIMATE_TOLERANCE)
 
     def refinement(self):
         return self.partition.refine(self.graph, self.params)

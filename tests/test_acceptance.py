@@ -25,6 +25,7 @@ from qconn import (
     disjoint_union,
     empty,
     enumerate_Eprime_orbits,
+    family_members,
     is_connected,
     iter_labeled_graphs,
     make_member,
@@ -170,7 +171,7 @@ def test_criterion_6_eigenvector_lemmas():
         worst_slack = min(worst_slack, r33.details["slack"])
         if not (r33.passed and r33.details["slack"] >= -1e-7):
             ok = False
-    maximizer, _, _ = select_max_member(PARAMS, 2)
+    maximizer, _ = select_max_member(family_members(PARAMS, 2))
     orderings = check_orderings(maximizer, is_maximizer=True)
     spread = check_lemma_3_7(maximizer, is_maximizer=True)
     if not (orderings.passed and spread.passed):

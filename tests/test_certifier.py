@@ -381,7 +381,7 @@ def test_lemma_3_3_intact_and_representatives():
 
 
 def test_orderings_on_maximizer():
-    member, est, scanned = select_max_member(PARAMS, 2)
+    member, scanned = select_max_member(family_members(PARAMS, 2))
     assert len(scanned) == 9
     # the maximizer concentrates removals on Z vertices away from Y
     assert member.y_internal_edges() == 1
@@ -403,7 +403,7 @@ def test_orderings_on_intact():
 
 
 def test_lemma_3_7_maximizer_and_cases():
-    member, _, _ = select_max_member(PARAMS, 2)
+    member, _ = select_max_member(family_members(PARAMS, 2))
     rep = check_lemma_3_7(member, is_maximizer=True)
     assert rep.passed
     assert rep.details["case"] == "case2 (Y1 nonempty)"
@@ -418,7 +418,7 @@ def test_lemma_3_7_maximizer_and_cases():
 
 
 def test_lemma_3_8():
-    rep = check_lemma_3_8(PARAMS)
+    rep = check_lemma_3_8(family_members(PARAMS, 2))
     assert rep.passed
     assert rep.details["representatives"] == 9
     assert rep.details["min_gap"] > 0
@@ -448,7 +448,7 @@ def test_lemma_verdicts_exact_at_every_small_order():
                 for member in family_members(params, size):
                     if member.hypothesis_ok:
                         assert check(member).passed, (k, delta, n, member.removed_edges)
-            out = check_lemma_3_8(params)
+            out = check_lemma_3_8(family_members(params, params.eprime_bound + 1))
             assert out.passed and out.applicable == (n == threshold_F(k, delta)), (k, delta, n)
             if out.findings:
                 undecided[(k, delta, n)] = out.findings
@@ -462,8 +462,8 @@ def test_lemma_3_8_rests_on_decide_q_ge(monkeypatch):
     # an undecided member fails the check, and so does a certified q >= t
     for decision in (None, True):
         monkeypatch.setattr(certifier_mod, "decide_q_ge",
-                            lambda g, t, tol, d=decision: (d, q_index(g, tol)))
-        rep = check_lemma_3_8(PARAMS)
+                            lambda g, t, tol=1e-9, d=decision: (d, q_index(g, tol)))
+        rep = check_lemma_3_8(family_members(PARAMS, 2))
         assert rep.applicable and not rep.passed
         assert len(rep.findings) == (9 if decision is None else 0)
 

@@ -184,7 +184,7 @@ def test_verify_lemma22_cli(tmp_path, capsys):
 
 def test_verify_lemma22_cli_reports_undecided(tmp_path, capsys, monkeypatch):
     from qconn import cli, path
-    monkeypatch.setattr(cli, "decide_q_gt", lambda g, t, tol: (None, q_index(g, tol)))
+    monkeypatch.setattr(cli, "decide_q_gt", lambda g, t, tol=1e-9: (None, q_index(g, tol)))
     f = tmp_path / "p3.g6"
     f.write_text(write_graph6(path(3)) + "\n")
     code, out = run_cli(capsys, "verify", "--lemma", "2.2", str(f), "--json")

@@ -391,6 +391,6 @@ def test_flagged_members_tiny_params():
     assert member.connected and not member.min_degree_ok
     assert not member.hypothesis_ok
     from qconn import check_lemma_3_8
-    rep = check_lemma_3_8(tiny)
+    rep = check_lemma_3_8(family_members(tiny, tiny.eprime_bound + 1))
     assert not rep.applicable  # order below the polynomial threshold
     assert rep.details["skipped_flagged"]
