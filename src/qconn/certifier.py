@@ -16,7 +16,9 @@ certificate settles it, the verdict is ``UNDECIDED_NUMERIC``.
 The family lemmas rest on exact certificates too: 3.1 and 3.2 on the
 exact Rayleigh quotient of the Y u Z indicator (a lower bound on q), 3.8
 on ``decide_q_ge``; their float brackets are reported, never tested.  The
-eigenvector lemmas 3.3, 3.4, 3.6 and 3.7 are float checks with tolerances.
+eigenvector lemmas 3.3, 3.4, 3.6 and 3.7 are float checks.  Every check
+reads the member's one Perron estimate, ``FamilyMember.estimate``, and
+takes no tolerance of its own.
 """
 
 from __future__ import annotations
@@ -413,13 +415,14 @@ def check_orderings(member: FamilyMember, is_maximizer: bool = True) -> LemmaRep
 
 
 def check_lemma_3_7(member: FamilyMember, is_maximizer: bool = True) -> LemmaReport:
-    """Spread bound: max x_i - min_{Y u Z} x_j against the closed form with
-    the certified q lower bound in the denominator."""
+    """Spread bound: max x_i - min_{Y u Z} x_j against the closed form
+    C/(2(q - n + 1)), which falls as q grows, so the bracket's upper end
+    stands in for q, as in 3.3."""
     x, est = _normalized_vector(member)
     p = member.params
     inner = member.partition.Y + member.partition.Z
     lhs = float(x.max() - min(x[v] for v in inner))
-    denom = 2 * (est.lower - p.n + 1)
+    denom = 2 * (est.upper - p.n + 1)
     bound = ((p.delta - p.k + 2) * (p.k + 3) + 4) / denom if denom > 0 else float("inf")
     y1 = member.refinement()[0]
     details = {

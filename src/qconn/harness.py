@@ -68,6 +68,8 @@ class CampaignConfig:
 
     ``workers`` shards only ``lemma22``, ``lemma23`` and ``counterexample``
     across processes; the other modes run serially and ignore it.
+    ``tolerance`` is read by ``lemma22``, ``counterexample``, ``theorem15``
+    and ``certify-one``; the family checks read each member's one estimate.
     """
 
     mode: str

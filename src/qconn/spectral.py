@@ -10,8 +10,9 @@ bracket q(G), however v was found.  Power iteration tightens the bracket
 and the estimate keeps the running best bounds.  From order ``_SMALL_N``
 on, the iteration switches after ``_POWER_STEPS`` power steps to Noda's
 shift-inverted steps, which keep v positive and converge quadratically
-(``_iterate_np``).  The float quotients carry no rounding allowance, so no
-threshold test rests on them alone.
+(``_iterate_np``).  ``q_index`` widens its bracket by the quotients'
+rounding bound, so the bracket holds q; still no threshold test rests on
+float quotients alone.
 Q is the only operator here: the paper's condition is on q(G) alone.
 
 Each True or False of ``decide_q_ge`` and ``decide_q_gt`` is an integer
@@ -50,6 +51,7 @@ DEFAULT_MAX_ITER = 100_000
 _SMALL_N = 32  # below this, plain-Python iteration beats numpy call overhead
 _CERT_SCALE = float(1 << 30)  # largest entry of a float iterate rounded to integers
 _POWER_STEPS = 32  # numpy-path power steps before Noda steps; a solve costs ~15 at n = 103
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass
@@ -258,9 +260,24 @@ def q_index(g: Graph, tolerance: float = DEFAULT_TOL, max_iterations: int = DEFA
 
     Disconnected graphs are handled per component and the maximum is
     reported; an isolated vertex contributes eigenvalue 0.
+
+    Every term of a quotient (Qv)_i / v_i is nonnegative, so its computed
+    value takes at most max degree + 2 roundings and lies within
+    gamma = (max degree + 3) u / (1 - (max degree + 3) u) of the exact one
+    in relative terms, for any summation order (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, section 3.1).  So the ends are
+    scaled by 1 - gamma and 1 + gamma, each then moved one ulp outward
+    (the spare rounding in gamma covers the scaling's own); ``converged``
+    is the run's, before the widening.
     """
     _check_tolerance(tolerance)
-    return _estimate(g, _component_runs(g, tolerance, max_iterations), tolerance)
+    est = _estimate(g, _component_runs(g, tolerance, max_iterations), tolerance)
+    if g.m:  # an edgeless graph's zeros are exact
+        terms = (max(g.degrees()) + 3) * _UNIT_ROUNDOFF
+        gamma = terms / (1.0 - terms)
+        est.lower = math.nextafter(est.lower * (1.0 - gamma), -math.inf)
+        est.upper = math.nextafter(est.upper * (1.0 + gamma), math.inf)
+    return est
 
 
 def _settled(lo, up, threshold, strict: bool) -> Optional[bool]:

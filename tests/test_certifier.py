@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -189,6 +190,7 @@ def _pinned(outcome, q, hyp=_HYP_OK, threshold=200, delta=3, kappa=None, cut=Non
 
 
 _NOT_MET_Q = (55.0, 199.99999999999994)  # A2 member: stopped once below 200
+_K103_Q = (203.99999999999997, 204.00000000000003)  # the integer proof's ends, one ulp out
 _STRADDLE = "no integer certificate settles the threshold"
 
 # certify(g, 3).to_dict() for every outcome; decide_q_ge is patched to
@@ -196,8 +198,7 @@ _STRADDLE = "no integer certificate settles the threshold"
 _BRANCH_PINS = {
     "certified-complete": (
         lambda: complete(103), None,
-        _pinned(K_CONNECTED_CERTIFIED, (204.00000000000003, 204.0000000000001),
-                kappa=102, cut=[])),
+        _pinned(K_CONNECTED_CERTIFIED, _K103_Q, kappa=102, cut=[])),
     "certified-flow": (
         lambda: complete(103).with_edges_removed([(0, 1), (2, 3), (4, 5)]), None,
         _pinned(K_CONNECTED_CERTIFIED, (202.95098039215688, 203.94174757281553),
@@ -211,7 +212,8 @@ _BRANCH_PINS = {
         _pinned(CONDITION_NOT_MET, _NOT_MET_Q)),
     "hypothesis-failed": (
         lambda: cycle(8), None,
-        _pinned(HYPOTHESIS_FAILED, (4.0, 4.0), hyp=_HYP_SMALL, threshold=None, delta=None,
+        _pinned(HYPOTHESIS_FAILED, (3.9999999999999973, 4.0000000000000036), hyp=_HYP_SMALL,
+                threshold=None, delta=None,
                 notes=["hypotheses not met; spectral data emitted for exploration"])),
     "hypothesis-failed-empty": (
         lambda: empty(0), None,
@@ -219,8 +221,7 @@ _BRANCH_PINS = {
                 notes=["hypotheses not met; spectral data emitted for exploration"])),
     "undecided": (
         lambda: complete(103), "straddle",
-        _pinned(UNDECIDED_NUMERIC, (204.00000000000003, 204.0000000000001),
-                notes=[_STRADDLE])),
+        _pinned(UNDECIDED_NUMERIC, _K103_Q, notes=[_STRADDLE])),
     "undecided-member": (
         lambda: make_member(PARAMS, _A2).graph, "straddle",
         _pinned(UNDECIDED_NUMERIC, _NOT_MET_Q, member=_member_dict("A2", _A2),
@@ -232,6 +233,10 @@ _BRANCH_PINS = {
                 notes=["THEOREM VIOLATION: certified spectral condition without "
                        "k-connectivity or exceptional membership"])),
 }
+
+
+# q where it is known exactly: the pinned and the emitted brackets must hold it
+_KNOWN_Q = {"certified-complete": 204, "undecided": 204, "hypothesis-failed": 4}
 
 
 @pytest.mark.parametrize("case", sorted(_BRANCH_PINS))
@@ -246,6 +251,10 @@ def test_certify_branch_pins(case, monkeypatch):
     if patch is not None:
         monkeypatch.setattr(certifier_mod, "decide_q_ge", patched)
     got = certifier_mod.certify(make_graph(), 3).to_dict()
+    if case in _KNOWN_Q:
+        q = _KNOWN_Q[case]
+        assert want["q_lower"] <= q <= want["q_upper"]
+        assert got["q_lower"] <= q <= got["q_upper"]
     # brackets from a BLAS matmul may differ in the last ulp across machines
     for key in ("q_lower", "q_upper"):
         assert got.pop(key) == pytest.approx(want[key], rel=1e-12, abs=0)
@@ -417,6 +426,19 @@ def test_lemma_3_7_maximizer_and_cases():
     assert rep.details["case"] == "case2 (Y1 nonempty)"
 
 
+def test_lemma_3_7_bounds_with_the_upper_end():
+    # C/(2(q - n + 1)) falls as q grows, so only the upper end proves the
+    # bound: on a forced wide bracket the lower end passes, the upper fails
+    member, _ = select_max_member(family_members(PARAMS, 2))
+    member.__dict__["estimate"] = dataclasses.replace(
+        member.estimate, lower=float(PARAMS.n), upper=1000.0)
+    rep = check_lemma_3_7(member, is_maximizer=True)
+    c = (PARAMS.delta - PARAMS.k + 2) * (PARAMS.k + 3) + 4
+    assert rep.details["spread"] <= c / 2  # the bound at the lower end, q = n
+    assert rep.details["bound"] == c / (2 * (1000.0 - PARAMS.n + 1))
+    assert not rep.passed
+
+
 def test_lemma_3_8():
     rep = check_lemma_3_8(family_members(PARAMS, 2))
     assert rep.passed
@@ -426,6 +448,15 @@ def test_lemma_3_8():
     # jointly with lemma 3.2 the bracket sits inside (199, 200)
     for item in rep.details["per_representative"]:
         assert 199 < item["q_upper"] < 200
+
+
+def test_lemma_3_8_takes_the_a2_members_of_one_order():
+    with pytest.raises(ValueError):
+        check_lemma_3_8([])
+    with pytest.raises(ValueError):
+        check_lemma_3_8(family_members(PARAMS, 1))  # A1 members
+    with pytest.raises(ValueError):
+        check_lemma_3_8(family_members(PARAMS, 2) + family_members(ExtremalParams(104, 3, 3), 2))
 
 
 # the A2 members at which q equals the threshold exactly: no integer

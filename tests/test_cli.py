@@ -35,10 +35,10 @@ def test_encode_decode_round_trip(tmp_path, capsys):
 
 
 def test_tol_only_where_it_is_read():
-    # decode and kappa run no spectral code
-    for verb in ("decode", "kappa"):
+    # decode and kappa run no spectral code; verify's checks take no tolerance
+    for argv in (["decode", "-"], ["kappa", "-"], ["verify", "--lemma", "chain"]):
         with pytest.raises(SystemExit) as exc:
-            main([verb, "--tol", "1e-3", "-"])
+            main([*argv, "--tol", "1e-3"])
         assert exc.value.code == 2
 
 

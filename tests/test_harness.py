@@ -259,6 +259,50 @@ def test_certify_campaign_canonical_json_pinned(overrides, digest):
     assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
 
 
+# canonical-JSON sha256 of family-sweep at the paper's orders; its items
+# carry the members' float brackets, from a BLAS matmul, so a different
+# BLAS may move a last ulp and this pin with it
+FAMILY_SWEEP_PINS = [
+    pytest.param(dict(n=103, k=3, delta=3),
+                 "5cb13ad0d17d44353322dea6cde48b64cf38b54a2661634313cc93e0875cc57d",
+                 id="family-sweep-103-3-3"),
+    pytest.param(dict(n=185, k=3, delta=4),
+                 "05e10635b2bff0ec748d912bfc5e014b233b57902b7574d8c9e0f7f4ed35b955",
+                 id="family-sweep-185-3-4"),
+    pytest.param(dict(n=160, k=4, delta=4),
+                 "0691ee1c6578383fc6729802fe5ccd230cd8ac370d02c7123b684735c05456f5",
+                 id="family-sweep-160-4-4"),
+]
+
+
+@pytest.mark.parametrize("overrides,digest", FAMILY_SWEEP_PINS)
+def test_family_sweep_canonical_json_pinned(overrides, digest):
+    report = run_campaign(CampaignConfig(mode="family-sweep", **overrides))
+    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("nkd,calls", [((103, 3, 3), (13, 13, 9)), ((160, 4, 4), (15, 15, 11))])
+def test_family_sweep_builds_and_estimates_each_member_once(monkeypatch, nkd, calls):
+    # (make_member, q_index, decide_q_ge): one build and one estimate per
+    # member, one exact decision per A2 member
+    from qconn import certifier, extremal
+
+    counts = {"make_member": 0, "q_index": 0, "decide_q_ge": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((extremal, "make_member"), (extremal, "q_index"),
+                         (certifier, "q_index"), (certifier, "decide_q_ge")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    n, k, delta = nkd
+    assert run_campaign(CampaignConfig(mode="family-sweep", n=n, k=k, delta=delta)).failed == 0
+    assert tuple(counts.values()) == calls
+
+
 def test_family_sweep_campaign():
     config = CampaignConfig(mode="family-sweep", n=103, k=3, delta=3)
     report = run_campaign(config)

@@ -77,6 +77,18 @@ def test_q_cycles():
         assert abs(est.value - 4.0) <= 1e-9
 
 
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+def test_q_index_brackets_hold_q_exactly(tol):
+    # q(K_n) = 2n - 2, q(C_n) = 4 and q(K_1,s) = s + 1 are exact floats, so
+    # the rounding allowance is checked with no slack
+    known = ([(complete(n), 2 * n - 2) for n in range(2, 201)]
+             + [(cycle(n), 4) for n in range(3, 201)]
+             + [(join(complete(1), empty(s)), s + 1) for s in range(1, 200)])
+    for g, q in known:
+        est = q_index(g, tol)
+        assert est.lower <= q <= est.upper, (g.n, q, est.lower, est.upper)
+
+
 def test_q_clique_plus_isolated_vertices():
     g = disjoint_union(complete(101), empty(2))
     est = q_index(g, 1e-9)
