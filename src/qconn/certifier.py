@@ -116,13 +116,9 @@ def _effective_delta(n: int, k: int, min_degree: int) -> Optional[int]:
     return best
 
 
-def certify(
-    g: Graph,
-    k: int,
-    delta: Optional[int] = None,
-    tolerance: float = 1e-9,
-) -> Verdict:
-    """Run the full spectral k-connectivity certification pipeline."""
+def certify(g: Graph, k: int, delta: Optional[int] = None) -> Verdict:
+    """Run the full spectral k-connectivity certification pipeline.  Every
+    verdict is exact, so it takes no tolerance."""
     profile = degree_profile(g)
     n = g.n
     hyp = {
@@ -150,10 +146,10 @@ def certify(
                        delta_effective=delta_eff, spectral=est, notes=notes, **evidence)
 
     if not all(hyp.values()) or delta_eff is None:
-        return verdict(HYPOTHESIS_FAILED, q_index(g, tolerance) if n else None,
+        return verdict(HYPOTHESIS_FAILED, q_index(g) if n else None,
                        ("hypotheses not met; spectral data emitted for exploration",))
 
-    decision, est = decide_q_ge(g, float(threshold), tolerance)
+    decision, est = decide_q_ge(g, float(threshold))
     if decision is None:
         return verdict(UNDECIDED_NUMERIC, est,
                        ("no integer certificate settles the threshold",),

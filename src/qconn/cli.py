@@ -25,7 +25,7 @@ from .extremal import (
     family_members,
     make_member,
 )
-from .graphs import Graph, Graph6Error, write_graph6
+from .graphs import MAX_ORDER, Graph, Graph6Error, write_graph6
 from .harness import RUNNERS, CampaignConfig, CampaignError, CorpusError, read_corpus, run_campaign
 from .spectral import (
     ORACLE_MAX_N,
@@ -68,9 +68,15 @@ def _cmd_encode(args) -> int:
     if not lines:
         raise CorpusError("expected the vertex count 'n', got no input", 1)
     (n,) = ints(*lines[0], "n")
+    if n > MAX_ORDER:  # before a graph of that order is built
+        raise CorpusError(f"order n={n} exceeds the codec limit {MAX_ORDER}", lines[0][0])
     first = {}  # edge (low, high) -> the line that gave it
     for i, f in lines[1:]:
         u, v = ints(i, f, "u v")
+        if max(u, v) >= n:
+            raise CorpusError(f"edge {u} {v} out of range for n={n}", i)
+        if u == v:
+            raise CorpusError(f"loop at vertex {u}", i)
         edge = (min(u, v), max(u, v))
         if edge in first:
             raise CorpusError(f"repeated edge {u} {v} (first on line {first[edge]})", i)
@@ -127,7 +133,7 @@ def _cmd_kappa(args) -> int:
 def _cmd_certify(args) -> int:
     worst = 0
     for g in read_corpus(args.input):
-        verdict = certifier.certify(g, args.k, delta=args.delta, tolerance=args.tol)
+        verdict = certifier.certify(g, args.k, delta=args.delta)
         payload = verdict.to_dict()
         text = (f"outcome={verdict.outcome} threshold={verdict.threshold} "
                 f"q=[{payload['q_lower']}, {payload['q_upper']}]")
@@ -140,6 +146,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    if args.n > MAX_ORDER:  # before a graph of that order is built
+        raise CampaignError(f"--n {args.n} exceeds the codec limit {MAX_ORDER}")
     if args.family == "A":
         if args.delta is None:
             raise CampaignError("construct --family A needs --delta")
@@ -227,7 +235,6 @@ def _cmd_sweep(args) -> int:
         n=args.n,
         n_min=args.n_min,
         n_max=args.n_max,
-        tolerance=args.tol,
         seed=args.seed,
         count=args.count,
         edge_probability=args.p,
@@ -269,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute-q", help="certified Q-index bracket")
     add_common(p)
-    p.add_argument("--tol", type=float, default=1e-9, help="spectral tolerance")
+    p.add_argument("--tol", type=float, default=1e-9, help="bracket width at which the run stops")
     p.add_argument("--oracle", action="store_true",
                    help=f"also run the dense eigvalsh oracle (n <= {ORACLE_MAX_N}); exit 1 if "
                         "it lies outside a bracket or a graph is too large for it")
@@ -282,7 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="spectral k-connectivity verdict")
     add_common(p)
-    p.add_argument("--tol", type=float, default=1e-9, help="spectral tolerance")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=int, default=None,
                    help="explicit theorem parameter delta (default: largest usable)")
@@ -318,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=7)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=10_000)
     p.add_argument("--p", type=float, default=0.5, help="edge probability (counterexample)")

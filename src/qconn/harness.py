@@ -67,9 +67,9 @@ class CampaignConfig:
     """One campaign's parameters; ``mode`` names a ``RUNNERS`` entry.
 
     ``workers`` shards only ``lemma22``, ``lemma23`` and ``counterexample``
-    across processes; the other modes run serially and ignore it.
-    ``tolerance`` is read by ``lemma22``, ``counterexample``, ``theorem15``
-    and ``certify-one``; the family checks read each member's one estimate.
+    across processes; the other modes run serially and ignore it.  No
+    field is a tolerance: every verdict a campaign counts is exact, and
+    the family checks read each member's one estimate.
     """
 
     mode: str
@@ -78,7 +78,6 @@ class CampaignConfig:
     n: Optional[int] = None
     n_min: int = 2
     n_max: int = 7
-    tolerance: float = 1e-9
     seed: int = 0
     count: int = 10_000
     edge_probability: float = 0.5
@@ -181,22 +180,20 @@ class Report:
 
 # -- deterministic random graphs ------------------------------------------------
 
+_RANDOM_GRAPH_TRIES = 200  # draws before ``random_graph`` gives up
 
-def random_graph(
-    n: int,
-    edge_probability: float,
-    min_degree_floor: int = 0,
-    seed=None,
-    max_tries: int = 200,
-) -> Graph:
+
+def random_graph(n: int, edge_probability: float, min_degree_floor: int = 0,
+                 seed=None) -> Graph:
     """Seeded uniform edge sampling, rejected until connected with the
-    requested minimum degree.  Fully deterministic per seed."""
+    requested minimum degree, at most ``_RANDOM_GRAPH_TRIES`` draws.  Fully
+    deterministic per seed."""
     if not 0.0 <= edge_probability <= 1.0:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = np.random.default_rng(seed)
     # row-major strict upper triangle: the itertools.combinations pair order
     upper = ~np.tri(n, dtype=bool)
-    for _ in range(max_tries):
+    for _ in range(_RANDOM_GRAPH_TRIES):
         a = np.zeros((n, n), dtype=bool)
         a[upper] = rng.random(n * (n - 1) // 2) < edge_probability
         a |= a.T
@@ -205,7 +202,7 @@ def random_graph(
             return g
     raise RandomGraphError(
         f"no connected graph with min degree >= {min_degree_floor} "
-        f"in {max_tries} draws (n={n}, p={edge_probability})"
+        f"in {_RANDOM_GRAPH_TRIES} draws (n={n}, p={edge_probability})"
     )
 
 
@@ -262,18 +259,20 @@ def _run_tasks(report: Report, tasks: list, fn: Callable[[tuple], Report], worke
         report.merge(part)
 
 
+_LEMMA22_SLACK = 1e-9  # added to the edge bound before the strict test q > bound
+
+
 def _lemma22_chunk(task: tuple) -> Report:
     """One mask interval of the edge-bound sweep at a fixed order."""
-    n, lo, hi, tolerance = task
+    n, lo, hi = task
     part = Report()
-    slack = 1e-9
     enumerated = 0
     for g in iter_labeled_graphs(n, mask_range=(lo, hi)):
         enumerated += 1
         if not is_connected(g) or g.n < 2:
             continue
         bound = q_upper_bound_edges(g)
-        verdict, est = decide_q_gt(g, bound + slack, tolerance)
+        verdict, est = decide_q_gt(g, bound + _LEMMA22_SLACK)
         if verdict is False:
             part.record(True)
             continue
@@ -295,10 +294,10 @@ def _run_lemma22(config: CampaignConfig, report: Report) -> None:
     for n in range(max(2, config.n_min), config.n_max + 1):
         total = count_labeled_graphs(n)
         for lo in range(0, total, chunk):
-            tasks.append((n, lo, min(lo + chunk, total), config.tolerance))
+            tasks.append((n, lo, min(lo + chunk, total)))
     _run_tasks(report, tasks, _lemma22_chunk, config.workers)
     report.details["n_range"] = [max(2, config.n_min), config.n_max]
-    report.details["slack"] = 1e-9
+    report.details["slack"] = _LEMMA22_SLACK
     by_order: dict = {}
     for violation in report.violations:
         n = parse_graph6(violation["graph6"]).n
@@ -448,7 +447,7 @@ def _run_lemma23(config: CampaignConfig, report: Report) -> None:
 
 
 def _counterexample_chunk(task: tuple) -> Report:
-    lo, hi, seed, n, k, p, floor, tolerance = task
+    lo, hi, seed, n, k, p, floor = task
     part = Report(details={"outcomes": {}})
     outcomes = part.details["outcomes"]
     for idx in range(lo, hi):
@@ -457,7 +456,7 @@ def _counterexample_chunk(task: tuple) -> Report:
         except RandomGraphError:
             part.skip()
             continue
-        verdict = certifier.certify(g, k, tolerance=tolerance)
+        verdict = certifier.certify(g, k)
         outcomes[verdict.outcome] = outcomes.get(verdict.outcome, 0) + 1
         if verdict.theorem_violation:
             part.record(False, g, f"theorem violation at index {idx}", outcome=verdict.outcome)
@@ -473,7 +472,7 @@ def _run_counterexample(config: CampaignConfig, report: Report) -> None:
     tasks = []
     for lo in range(0, config.count, chunk):
         tasks.append((lo, min(lo + chunk, config.count), config.seed, n,
-                      config.k, config.edge_probability, floor, config.tolerance))
+                      config.k, config.edge_probability, floor))
     _run_tasks(report, tasks, _counterexample_chunk, config.workers)
     report.details["outcomes"] = dict(sorted(report.details.get("outcomes", {}).items()))
     report.details["n"] = n
@@ -490,7 +489,7 @@ def _run_theorem15(config: CampaignConfig, report: Report) -> None:
         expected += [(f"{label} {list(member.removed_edges)}", member.graph, want)
                      for member in family_members(params, size) if member.hypothesis_ok]
     for label, g, want in expected:
-        verdict = certifier.certify(g, config.k, tolerance=config.tolerance)
+        verdict = certifier.certify(g, config.k)
         report.items.append({"label": label, "outcome": verdict.outcome, "expected": want})
         if verdict.theorem_violation:
             report.record(False, g, f"violation on {label}")
@@ -532,7 +531,7 @@ def _run_certify_one(config: CampaignConfig, report: Report) -> None:
         raise CampaignError("certify-one needs an input corpus path")
 
     def certify_one(g: Graph) -> None:
-        verdict = certifier.certify(g, config.k, tolerance=config.tolerance)
+        verdict = certifier.certify(g, config.k)
         report.items.append({"graph6": write_graph6(g), **verdict.to_dict()})
         if verdict.theorem_violation:
             report.record(False, g, "theorem violation")

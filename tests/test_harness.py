@@ -2,6 +2,9 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -40,7 +43,7 @@ def test_random_graph_deterministic():
 def test_random_graph_extremes():
     assert random_graph(10, 1.0, min_degree_floor=3, seed=1) == complete(10)
     with pytest.raises(RandomGraphError):
-        random_graph(10, 0.0, min_degree_floor=0, seed=1, max_tries=5)
+        random_graph(10, 0.0, min_degree_floor=0, seed=1)
     with pytest.raises(ValueError):
         random_graph(5, 1.5, seed=0)
 
@@ -80,7 +83,7 @@ def test_stream_corpus_errors(tmp_path):
 
 
 def test_lemma22_campaign_small():
-    config = CampaignConfig(mode="lemma22", n_min=2, n_max=5, tolerance=1e-9)
+    config = CampaignConfig(mode="lemma22", n_min=2, n_max=5)
     report = run_campaign(config)
     assert report.counters_consistent()
     # connected labeled graph counts: 1 + 4 + 38 + 728
@@ -100,10 +103,10 @@ def test_lemma22_campaign_deterministic():
 # canonical-JSON sha256 of the per-graph edge-bound sweep; a batched
 # kernel must reproduce these bytes
 LEMMA22_PINS = [
-    pytest.param(5, 1, "40bd97ee4714c35bf49c1f9f1ca70db94d2dcfa031c82342d6503c26f00bc65f", id="n5-w1"),
-    pytest.param(5, 2, "a58a56d5e915e722ac3afe6abc54707a8dd3cc9c27b7319a351d545be9655399", id="n5-w2"),
-    pytest.param(6, 1, "45c4f0e8b058a77b0855ac627690171baffde3f0d92871f3ac1feb054d6a50ad", id="n6-w1"),
-    pytest.param(6, 2, "bbace6b4dbc2d52e15f7589f30e0e9faf52188298463e75865c5cd182c445038", id="n6-w2"),
+    pytest.param(5, 1, "6ba58ef847bbd0445a6ed1942e09a72b38abd1dcd708b1901884fe9b869e2acf", id="n5-w1"),
+    pytest.param(5, 2, "6a06bde8714088976d0a7e160c4f31724ef5072bc00d84e7d50dab3925af3faa", id="n5-w2"),
+    pytest.param(6, 1, "cc5f1e86babed27b109284f6e119535506b1fc4569898d8c00f701c08c83eb95", id="n6-w1"),
+    pytest.param(6, 2, "f6490f13fbbf43587c14ebfefebe24db1974159270da690bc9804249924ecd78", id="n6-w2"),
 ]
 
 
@@ -148,17 +151,17 @@ def test_lemma23_campaign_reduced_budget():
 
 # canonical-JSON sha256 of the per-graph sweep that preceded the batched kernel
 LEMMA23_PINS = [
-    pytest.param((8, 3, 3), 3, 1, "d2445a001cbaca8e97353849e20a55bddfd9e88253cbe02d8eb9466e02411904",
+    pytest.param((8, 3, 3), 3, 1, "ec845aaff1f3d98bcfbf03fa09a7d08136b5d860a4e0a96d2feab93ce711bf70",
                  id="n8-k3-d3-budget3-w1"),
-    pytest.param((8, 3, 3), 3, 2, "9f33d9a97c4aa9778076926bc9ddd93b9734a7e23d30ad01f36c5f3553cf58aa",
+    pytest.param((8, 3, 3), 3, 2, "3ae32adcc39ed90865b26f4af938713ea22ddc8b1eef23b767bdc7df0d64da6c",
                  id="n8-k3-d3-budget3-w2"),
     # budget 5 reaches the skip branch: 168 graphs have minimum degree < 3
-    pytest.param((8, 3, 3), 5, 1, "be7bdbf3740fd280935d1157f07474816a906087b1cc80bfb78eab28b71f20bb",
+    pytest.param((8, 3, 3), 5, 1, "7565257c928bca7fbc6bf46fb5f442df1be3bb274d0c96ed98c8a5b5df7aaac0",
                  id="n8-k3-d3-budget5-w1"),
-    pytest.param((8, 3, 3), 5, 2, "059ac883a70e4ddd7e70965cc4813f2c89474be7c98880cce7b64bbc7601fa8b",
+    pytest.param((8, 3, 3), 5, 2, "e941ffc1d0ca8f6d90cc4035b09668f4e8ccfd5656c6a5caeeec53bbf511b936",
                  id="n8-k3-d3-budget5-w2"),
     # 401,930 graphs: 105 exceptional, 3 stride cross-checks
-    pytest.param((7, 2, 2), None, 1, "f6e25df04c2ec8131ca36a5f39438f417595c00d71c135f056ceed3918ae78c2",
+    pytest.param((7, 2, 2), None, 1, "726dd58f75c70501f4a66502abae593a926df34afa09c955bad1de6bbfb1e715",
                  id="n7-k2-d2-w1"),
 ]
 
@@ -242,13 +245,13 @@ def test_theorem15_campaign():
 # every decision in them must stay what it was
 CERTIFY_PINS = [
     pytest.param(dict(mode="theorem15", n=103, k=3, delta=3),
-                 "593aa7449d435c405e2bd49fb92fab4c2839b18b93fd487bc3af9370741043f5",
+                 "d74fc5d2b06a96a051aef4cc63947f767691be57f0b0cc7350043462272264c3",
                  id="theorem15-103-3-3"),
     pytest.param(dict(mode="theorem15", n=185, k=3, delta=4),
-                 "da3c31f224105c8b2ee15ed99fb12bfdc4835a1b37371cc4689f6668b6a7cd94",
+                 "d82c8b98c894214b9578c64464589ccfc2f8a98e68e1a4fb3f7242573f4520a8",
                  id="theorem15-185-3-4"),
     pytest.param(dict(mode="counterexample", n=103, k=3, delta=3, count=200, seed=5),
-                 "dcd4313fab95660bde8cf792d39b03e30ebb1d37603bec19dc475e19b14a3c94",
+                 "9d800891118f52998a5d36884e5eea6f037f818fb031494a150b2d3011fdc73a",
                  id="counterexample-103-200-seed5"),
 ]
 
@@ -260,25 +263,37 @@ def test_certify_campaign_canonical_json_pinned(overrides, digest):
 
 
 # canonical-JSON sha256 of family-sweep at the paper's orders; its items
-# carry the members' float brackets, from a BLAS matmul, so a different
-# BLAS may move a last ulp and this pin with it
+# carry the members' float brackets, whose last ulps move with the BLAS
+# (and its thread count, which sets the summation order of each matvec and
+# solve), so the campaign runs in a child interpreter on one BLAS thread
 FAMILY_SWEEP_PINS = [
     pytest.param(dict(n=103, k=3, delta=3),
-                 "5cb13ad0d17d44353322dea6cde48b64cf38b54a2661634313cc93e0875cc57d",
+                 "c29452c0177fd071938d5e9fec8769435745375cbabf30200066950cf96f97ba",
                  id="family-sweep-103-3-3"),
     pytest.param(dict(n=185, k=3, delta=4),
-                 "05e10635b2bff0ec748d912bfc5e014b233b57902b7574d8c9e0f7f4ed35b955",
+                 "c2fe78b629ef8602d9045655fdb5966c005b32bb4f99ca8293b9da9c663ae217",
                  id="family-sweep-185-3-4"),
     pytest.param(dict(n=160, k=4, delta=4),
-                 "0691ee1c6578383fc6729802fe5ccd230cd8ac370d02c7123b684735c05456f5",
+                 "03f80aa4e565b561094592d3deee30a8ebe104a857ef65915158d8e3404ce70b",
                  id="family-sweep-160-4-4"),
 ]
 
 
+_ONE_BLAS_THREAD = {name: "1" for name in
+                    ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
 @pytest.mark.parametrize("overrides,digest", FAMILY_SWEEP_PINS)
 def test_family_sweep_canonical_json_pinned(overrides, digest):
-    report = run_campaign(CampaignConfig(mode="family-sweep", **overrides))
-    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
+    script = ("from qconn.harness import CampaignConfig, run_campaign\n"
+              f"config = CampaignConfig(mode='family-sweep', **{overrides!r})\n"
+              "print(run_campaign(config).canonical_json())")
+    src = os.path.dirname(os.path.dirname(harness.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                           env={**os.environ, **_ONE_BLAS_THREAD, "PYTHONPATH": path})
+    assert child.returncode == 0, child.stderr
+    assert hashlib.sha256(child.stdout.rstrip("\n").encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("nkd,calls", [((103, 3, 3), (13, 13, 9)), ((160, 4, 4), (15, 15, 11))])
@@ -397,7 +412,7 @@ def test_workers_merge_deterministic():
 
 def test_undecided_cases_are_counted_as_undecided(tmp_path, monkeypatch):
     from qconn import certifier, q_index
-    undecided = lambda g, threshold, tol: (None, q_index(g, tol))
+    undecided = lambda g, threshold: (None, q_index(g))
     monkeypatch.setattr(certifier, "decide_q_ge", undecided)
     corpus = tmp_path / "k103.g6"
     corpus.write_text(write_graph6(complete(103)) + "\n")

@@ -171,7 +171,7 @@ def test_cached_facts_are_immutable_and_not_inherited(n, seed, p, shape):
 
 
 def assert_bracket_contains_eigvalsh(g: Graph) -> None:
-    est = q_index(g, 1e-9, max_iterations=2000)
+    est = q_index(g, 1e-9)
     q = edge_matrix(g).astype(np.float64)
     q[np.diag_indices(g.n)] = g.degrees()
     exact = float(np.linalg.eigvalsh(q)[-1])

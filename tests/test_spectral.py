@@ -676,9 +676,20 @@ def test_tolerance_must_be_positive(bad):
     for g in (path(3), complete(40)):
         with pytest.raises(ValueError, match="tolerance"):
             q_index(g, bad)
-        for decide in (decide_q_ge, decide_q_gt):
-            with pytest.raises(ValueError, match="tolerance"):
-                decide(g, 3.0, bad)
+
+
+def test_only_q_index_takes_a_tolerance():
+    import dataclasses
+    import inspect
+
+    from qconn import CampaignConfig, certify
+
+    # every True/False of the deciders and of certify is an integer proof
+    signatures = {decide_q_ge: ["g", "threshold"], decide_q_gt: ["g", "threshold"],
+                  certify: ["g", "k", "delta"], q_index: ["g", "tolerance"]}
+    for fn, params in signatures.items():
+        assert list(inspect.signature(fn).parameters) == params, fn
+    assert "tolerance" not in {f.name for f in dataclasses.fields(CampaignConfig)}
 
 
 # -- eigen identities ------------------------------------------------------------
@@ -706,9 +717,12 @@ def test_eigen_identity_extremal():
     assert rep.passed
 
 
-def test_eigen_identity_requires_convergence():
+def test_eigen_identity_requires_convergence(monkeypatch):
+    from qconn import spectral
+
     g = path(9)
-    est = q_index(g, 1e-9, max_iterations=2)
+    monkeypatch.setattr(spectral, "DEFAULT_MAX_ITER", 2)
+    est = q_index(g, 1e-9)
     assert not est.converged
     assert est.lower <= q_index_dense_oracle(g) <= est.upper  # bracket still valid
     with pytest.raises(ValueError):
