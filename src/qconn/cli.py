@@ -145,9 +145,13 @@ def _cmd_certify(args) -> int:
     return worst
 
 
+def _check_order(n: int) -> None:
+    if n > MAX_ORDER:  # before a graph of that order is built
+        raise CampaignError(f"--n {n} exceeds the codec limit {MAX_ORDER}")
+
+
 def _cmd_construct(args) -> int:
-    if args.n > MAX_ORDER:  # before a graph of that order is built
-        raise CampaignError(f"--n {args.n} exceeds the codec limit {MAX_ORDER}")
+    _check_order(args.n)
     if args.family == "A":
         if args.delta is None:
             raise CampaignError("construct --family A needs --delta")
@@ -201,6 +205,7 @@ def _cmd_verify(args) -> int:
                 ok = ok and rep.passed
         return 0 if ok else 1
 
+    _check_order(args.n)
     params = ExtremalParams(args.n, args.k, args.delta)
     if lemma in ("3.1", "3.2"):
         # 3.2 defaults to the first A2 representative, 3.1 to the intact A

@@ -34,6 +34,7 @@ from .extremal import (
     q_threshold,
 )
 from .graphs import (
+    MAX_ORDER,
     Graph,
     Graph6Error,
     complete,
@@ -559,6 +560,8 @@ def run_campaign(config: CampaignConfig) -> Report:
         raise CampaignError(f"workers must be at least 1, got {config.workers}")
     if config.count < 0:
         raise CampaignError(f"count must be nonnegative, got {config.count}")
+    if config.n is not None and config.n > MAX_ORDER:  # before a graph of that order is built
+        raise CampaignError(f"n={config.n} exceeds the codec limit {MAX_ORDER}")
     report = Report(mode=config.mode, config=config.to_dict())
     start = time.perf_counter()
     RUNNERS[config.mode](config, report)

@@ -7,10 +7,11 @@ quotients
     min_i (Qv)_i / v_i   <=   q(G)   <=   max_i (Qv)_i / v_i
 
 bracket q(G), however v was found.  Power iteration tightens the bracket
-and the estimate keeps the running best bounds.  From order ``_SMALL_N``
-on, the iteration switches after ``_POWER_STEPS`` power steps to Noda's
-shift-inverted steps, which keep v positive and converge quadratically
-(``_iterate_np``).  ``q_index`` widens its bracket by the quotients'
+and the estimate keeps the running best bounds.  One kernel,
+``_iterate_np``, runs every component with an edge: it switches to Noda's
+shift-inverted steps, which keep v positive and converge quadratically,
+after ``_POWER_STEPS`` power steps from order ``_SMALL_N`` on and from its
+first step below it.  ``q_index`` widens its bracket by the quotients'
 rounding bound, so the bracket holds q; still no threshold test rests on
 float quotients alone.
 Q is the only operator here: the paper's condition is on q(G) alone.
@@ -50,9 +51,9 @@ from .graphs import Graph, _bits, components
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
-_SMALL_N = 32  # below this, plain-Python iteration beats numpy call overhead
+_SMALL_N = 32  # below this order: Noda steps from the first step, and v0, v1 tried first
 _CERT_SCALE = float(1 << 30)  # largest entry of a float iterate rounded to integers
-_POWER_STEPS = 32  # numpy-path power steps before Noda steps; a solve costs ~15 at n = 103
+_POWER_STEPS = 32  # power steps before Noda steps from order _SMALL_N; a solve costs ~15 at n = 103
 _UNIT_ROUNDOFF = 2.0**-53
 
 
@@ -105,56 +106,18 @@ def rayleigh_q_exact(g: Graph, v: Sequence[int]) -> Fraction:
 # -- certified power iteration --------------------------------------------
 
 
-def _iterate_small(rows, degs, idx, tol, max_iter, stop):
-    """Collatz-Wielandt iteration of Q on one component, plain-Python path.
-
-    ``idx`` holds the component's vertex ids.  Returns (lo, up, vec, iters,
-    converged) with vec normalized to unit length.
-    """
-    pos = {v: i for i, v in enumerate(idx)}
-    nbrs = [[pos[j] for j in _bits(rows[v])] for v in idx]
-    d = [degs[v] for v in idx]
-    v = [x + 1.0 for x in d]
-    nrm = math.sqrt(sum(x * x for x in v))
-    v = [x / nrm for x in v]
-    best_lo, best_up = 0.0, math.inf
-    it = 0
-    while it < max_iter:
-        it += 1
-        w = []
-        lo = math.inf
-        up = -math.inf
-        for i, ns in enumerate(nbrs):
-            s = d[i] * v[i]
-            for j in ns:
-                s += v[j]
-            w.append(s)
-            quot = s / v[i]
-            if quot < lo:
-                lo = quot
-            if quot > up:
-                up = quot
-        if lo > best_lo:
-            best_lo = lo
-        if up < best_up:
-            best_up = up
-        nrm = math.sqrt(sum(x * x for x in w))
-        v = [x / nrm for x in w]
-        if best_up - best_lo <= tol:
-            return min(best_lo, best_up), best_up, v, it, True
-        if stop is not None and stop(best_lo, best_up):
-            return min(best_lo, best_up), best_up, v, it, False
-    return min(best_lo, best_up), best_up, v, it, False
-
-
 def _iterate_np(a, d, tol, max_iter, stop):
-    """Same iteration, numpy path, on a connected component's float64
-    adjacency ``a``, used as given: ``_component_runs`` builds it once for
-    this run and the integer proof after it.
+    """Collatz-Wielandt iteration of Q on a connected component with at
+    least two vertices, from its float64 adjacency ``a`` and degrees ``d``.
+    ``a`` is used as given: ``_component_runs`` builds it once for this run
+    and the integer proof after it.  Returns (lo, up, vec, iters, converged)
+    with vec normalized to unit length.
 
-    The first ``_POWER_STEPS`` steps are power steps.  Each later iterate
-    is a Noda step: with sigma the current iterate v's largest quotient,
-    solve (sigma I - Q) x = v and normalize x.  Since sigma >= q, sigma I - Q
+    On a component of at least ``_SMALL_N`` vertices the first
+    ``_POWER_STEPS`` steps are power steps; on a smaller one, where a dense
+    solve is cheap, none are.  Each later iterate is a Noda step: with
+    sigma the current iterate v's largest quotient, solve
+    (sigma I - Q) x = v and normalize x.  Since sigma >= q, sigma I - Q
     is a nonsingular M-matrix whose inverse is positive on a connected
     graph, so x > 0, and sigma falls to q quadratically (Noda, Numer. Math.
     1971; Elsner, Linear Algebra Appl. 1976).  A singular solve or an x not
@@ -183,6 +146,7 @@ def _iterate_np(a, d, tol, max_iter, stop):
     least, most = np.minimum.reduce, np.maximum.reduce
     best_lo, best_up = 0.0, math.inf
     noda, solved = True, False  # Noda steps still allowed; v came from one
+    power_steps = _POWER_STEPS if len(d) >= _SMALL_N else 0
     it = 0
     while it < max_iter:
         it += 1
@@ -202,7 +166,7 @@ def _iterate_np(a, d, tol, max_iter, stop):
             divide(w, sqrt(dot(w)), out=v)
             return min(best_lo, best_up), best_up, v, it, done
         solved = False
-        if noda and it >= _POWER_STEPS:
+        if noda and it >= power_steps:
             shifted = -a
             np.fill_diagonal(shifted, up - d)
             try:
@@ -221,19 +185,16 @@ def _iterate_np(a, d, tol, max_iter, stop):
 def _component_runs(g, tol, stop=None) -> list:
     """(comp, lo, up, vec, iters, converged, sub, a) of the float run on each
     component, of at most ``DEFAULT_MAX_ITER`` steps; ``sub`` is the component's
-    graph and ``a`` its float64 adjacency where the numpy path ran, else None."""
-    max_iter = DEFAULT_MAX_ITER
+    graph and ``a`` its float64 adjacency, both None for an isolated vertex."""
     runs = []
     for comp in components(g):
         if len(comp) == 1:  # isolated vertex: eigenvalue 0
             runs.append((comp, 0.0, 0.0, [1.0], 0, True, None, None))
-        elif len(comp) < _SMALL_N and g.n < _SMALL_N:
-            runs.append((comp, *_iterate_small(g.rows, g.degrees(), comp, tol, max_iter, stop),
-                         None, None))
         else:
             sub = g if len(comp) == g.n else g.subgraph(comp)
             a = sub.adjacency_bool().astype(np.float64)
-            runs.append((comp, *_iterate_np(a, sub.degree_array(), tol, max_iter, stop), sub, a))
+            runs.append((comp, *_iterate_np(a, sub.degree_array(), tol, DEFAULT_MAX_ITER, stop),
+                         sub, a))
     return runs
 
 
@@ -374,7 +335,7 @@ def _decide(g: Graph, threshold, strict: bool) -> Tuple[Optional[bool], Spectral
                            lambda lo, up: _settled(lo, up, threshold, strict) is not None)
     decisions = [_settled(0, 0, threshold, strict)] if g.n == 0 else []  # q = 0
     for i, (comp, lo, up, vec, it, _, sub, a) in enumerate(runs):
-        if sub is None:
+        if sub is None:  # an isolated vertex
             sub = g if len(comp) == g.n else g.subgraph(comp)
         decision, out_lo, out_up = _rounded_proof(sub, vec, num, den, strict, 1.0, a)
         if decision is None:  # the clamp to 1 can sink a decaying tail

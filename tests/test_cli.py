@@ -239,13 +239,15 @@ def test_input_errors_exit_2_with_their_line(monkeypatch, capsys):
 
 
 def test_orders_above_the_codec_limit_exit_2_before_any_graph_is_built(monkeypatch, capsys):
-    from qconn import cli
+    from qconn import cli, extremal, harness
 
     def no_graph(*args, **kwargs):
         raise AssertionError("a graph was built")
 
     for name in ("Graph", "make_member", "build_M", "build_L"):
         monkeypatch.setattr(cli, name, no_graph)
+    for module, name in ((harness, "complete"), (harness, "random_graph"), (extremal, "build_A")):
+        monkeypatch.setattr(module, name, no_graph)
     n = MAX_ORDER + 1
     _patch_stdin(monkeypatch, f"\n{n}\n0 1\n".encode())
     assert main(["encode", "-"]) == 2
@@ -254,6 +256,14 @@ def test_orders_above_the_codec_limit_exit_2_before_any_graph_is_built(monkeypat
     for family in ("A", "M", "L"):
         assert main(["construct", "--family", family, "--n", str(n), "--k", "3",
                      "--delta", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --n ") and str(MAX_ORDER) in err, err
+    for mode in ("theorem15", "family-sweep", "counterexample"):
+        assert main(["sweep", "--mode", mode, "--n", str(n), "--count", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: n={n} ") and str(MAX_ORDER) in err, err
+    for lemma in ("3.1", "3.2", "3.3", "orderings", "3.7", "3.8", "chain"):
+        assert main(["verify", "--lemma", lemma, "--n", str(n)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: --n ") and str(MAX_ORDER) in err, err
 

@@ -128,9 +128,10 @@ def test_trivial_graphs():
 
 def reference_iterate_np(adj, d, tol, max_iter, stop):
     """The numpy step written plainly: ``np.linalg.norm``, ``ndarray.min``/
-    ``max`` and, after ``_POWER_STEPS`` power steps, Noda steps that build
-    sigma I - Q afresh.  A faster step must match it bit for bit."""
-    from qconn.spectral import _POWER_STEPS
+    ``max`` and Noda steps that build sigma I - Q afresh, after
+    ``_POWER_STEPS`` power steps from order ``_SMALL_N`` and from the first
+    step below it.  A faster step must match it bit for bit."""
+    from qconn.spectral import _POWER_STEPS, _SMALL_N
 
     a = adj.astype(np.float64)
     v = d + 1.0
@@ -139,6 +140,7 @@ def reference_iterate_np(adj, d, tol, max_iter, stop):
     quot = np.empty_like(v)
     best_lo, best_up = 0.0, math.inf
     noda, solved = True, False
+    power_steps = _POWER_STEPS if len(v) >= _SMALL_N else 0
     it = 0
     while it < max_iter:
         it += 1
@@ -160,7 +162,7 @@ def reference_iterate_np(adj, d, tol, max_iter, stop):
         if stop is not None and stop(best_lo, best_up):
             return min(best_lo, best_up), best_up, w / np.linalg.norm(w), it, False
         solved = False
-        if noda and it >= _POWER_STEPS:
+        if noda and it >= power_steps:
             shifted = up * np.eye(len(v)) - (a + np.diag(d))
             try:
                 x = np.linalg.solve(shifted, v)
@@ -172,57 +174,10 @@ def reference_iterate_np(adj, d, tol, max_iter, stop):
     return min(best_lo, best_up), best_up, v, it, False
 
 
-def reference_iterate_small(rows, degs, idx, tol, max_iter, stop):
-    """The plain-Python power step as it was first written: its own bit
-    walk and a float diagonal.  A simpler step must match it bit for bit."""
-    pos = {v: i for i, v in enumerate(idx)}
-    nbrs = []
-    for v in idx:
-        rest = rows[v]
-        cur = []
-        while rest:
-            b = rest & -rest
-            cur.append(pos[b.bit_length() - 1])
-            rest ^= b
-        nbrs.append(cur)
-    d = [degs[v] for v in idx]
-    diag = [float(x) for x in d]
-    v = [x + 1.0 for x in d]
-    nrm = math.sqrt(sum(x * x for x in v))
-    v = [x / nrm for x in v]
-    best_lo, best_up = 0.0, math.inf
-    it = 0
-    while it < max_iter:
-        it += 1
-        w = []
-        lo = math.inf
-        up = -math.inf
-        for i, ns in enumerate(nbrs):
-            s = diag[i] * v[i]
-            for j in ns:
-                s += v[j]
-            w.append(s)
-            quot = s / v[i]
-            if quot < lo:
-                lo = quot
-            if quot > up:
-                up = quot
-        if lo > best_lo:
-            best_lo = lo
-        if up < best_up:
-            best_up = up
-        nrm = math.sqrt(sum(x * x for x in w))
-        v = [x / nrm for x in w]
-        if best_up - best_lo <= tol:
-            return min(best_lo, best_up), best_up, v, it, True
-        if stop is not None and stop(best_lo, best_up):
-            return min(best_lo, best_up), best_up, v, it, False
-    return min(best_lo, best_up), best_up, v, it, False
-
-
 def power_step_graphs():
-    """Seeded graphs on the numpy path (32 <= n <= 150): sparse and dense,
-    connected and with several components, isolated vertices included."""
+    """Seeded graphs with 32 <= n <= 150, where power steps come first:
+    sparse and dense, connected and with several components, isolated
+    vertices included."""
     rng = np.random.default_rng(606)
     graphs = []
     for n, p in ((32, 0.15), (57, 0.08), (103, 0.04), (103, 0.5), (150, 0.9), (121, 0.3)):
@@ -292,9 +247,11 @@ def test_runs_settled_within_the_power_steps_keep_their_bytes(monkeypatch):
 
 def noda_graphs():
     """Graphs whose power iteration is slow (lambda_2 / q near 1), so their
-    runs reach the Noda steps; one Perron vector falls to 1e-114."""
+    runs reach the Noda steps; one Perron vector falls to 1e-114.  P31 is
+    below order ``_SMALL_N``: 898 power steps, and Noda from the first."""
     seeded = power_step_graphs()
     return {
+        "P31": path(31),
         "P100": path(100),
         "P200": path(200),
         "K40+P60": disjoint_union(complete(40), path(60)).with_edge_added(39, 40),
@@ -305,7 +262,7 @@ def noda_graphs():
 
 @pytest.mark.parametrize("name", list(noda_graphs()))
 def test_noda_steps_converge_around_eigvalsh(name):
-    from qconn.spectral import _POWER_STEPS, _oracle_slack
+    from qconn.spectral import _POWER_STEPS, _SMALL_N, _oracle_slack
 
     g = noda_graphs()[name]
     est = q_index(g)
@@ -316,7 +273,7 @@ def test_noda_steps_converge_around_eigvalsh(name):
     support = [c for c in components(g) if est.vector[c[0]] != 0]
     assert len(support) == 1 and np.all(est.vector[list(support[0])] > 0)
     assert np.count_nonzero(est.vector) == len(support[0])
-    assert est.iterations <= _POWER_STEPS + 8
+    assert est.iterations <= (_POWER_STEPS if g.n >= _SMALL_N else 0) + 8
 
 
 def test_noda_steps_stop_when_they_stall():
@@ -333,30 +290,34 @@ def test_noda_steps_stop_when_they_stall():
 
 @pytest.mark.parametrize("failure", ["singular", "not positive"])
 def test_failed_noda_step_falls_back_to_power_steps_for_good(monkeypatch, failure):
+    # P31 is below order _SMALL_N, where the one try follows the first step
     from qconn import spectral
 
-    g = path(100)
-    monkeypatch.setattr(spectral, "_POWER_STEPS", 10**9)
-    want = q_index(g)  # power steps only
-    monkeypatch.undo()
-    real_solve, calls = np.linalg.solve, []
+    real_solve = np.linalg.solve
+    for g in (path(100), path(31)):
+        monkeypatch.setattr(spectral, "_POWER_STEPS", 10**9)
+        monkeypatch.setattr(spectral, "_SMALL_N", 0)
+        want = q_index(g)  # power steps only
+        monkeypatch.undo()
+        calls = []
 
-    def solve(m, v):
-        calls.append(m.shape)
-        if failure == "singular":
-            raise np.linalg.LinAlgError("Singular matrix")
-        x = real_solve(m, v)
-        x[0] = -x[0]  # as if rounding had pushed sigma below q
-        return x
+        def solve(m, v):
+            calls.append(m.shape)
+            if failure == "singular":
+                raise np.linalg.LinAlgError("Singular matrix")
+            x = real_solve(m, v)
+            x[0] = -x[0]  # as if rounding had pushed sigma below q
+            return x
 
-    monkeypatch.setattr(np.linalg, "solve", solve)
-    got = q_index(g)
-    assert calls == [(100, 100)]  # one try, then never again
-    assert same_estimate(got, want) and want.converged
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        got = q_index(g)
+        monkeypatch.undo()
+        assert calls == [(g.n, g.n)]  # one try, then never again
+        assert same_estimate(got, want) and want.converged
 
 
 def test_decider_builds_each_component_subgraph_once(monkeypatch):
-    g = disjoint_union(complete(20), complete(20))  # n = 40: the numpy path
+    g = disjoint_union(complete(20), complete(20))  # n = 40: a float run per component
     real, calls = Graph.subgraph, []
 
     def subgraph(self, vertices):
@@ -402,7 +363,7 @@ def test_small_order_step_matches_reference_bit_for_bit(monkeypatch):
     thresholds = [round(q_index_dense_oracle(g), 3) for g in disconnected]
     deciders = (decide_q_ge, decide_q_gt)
     got_decisions = [decide(g, t) for g, t in zip(disconnected, thresholds) for decide in deciders]
-    monkeypatch.setattr(spectral, "_iterate_small", reference_iterate_small)
+    monkeypatch.setattr(spectral, "_iterate_np", reference_iterate_np)
     for tol in tols:
         for g, est in zip(graphs, got[tol]):
             assert same_estimate(est, q_index(g, tol)), (tol, write_graph6(g))
@@ -443,7 +404,7 @@ def test_oracle_agreement_random(rng):
         oracle = q_index_dense_oracle(g)
         assert abs(est.upper - oracle) <= 1e-8
         assert est.lower - 1e-9 <= oracle <= est.upper + 1e-9
-    # a few orders above the small-n cutoff to exercise the numpy path
+    # a few orders above the small-n cutoff, where power steps come first
     for n in (33, 48, 60):
         g = random_graph_mask(n, rng, p=0.3)
         est = q_index(g, 1e-10)
