@@ -44,7 +44,7 @@ from .graphs import (
     parse_graph6,
     write_graph6,
     _ENUMERATION_MAX_N,
-    _POPCOUNT,
+    _SPREAD,
     _frozen,
     _graph_from_bool,
     _pair_words,
@@ -338,19 +338,86 @@ def _unrank_combinations(npairs: int, size: int, lo: int, hi: int) -> np.ndarray
     return out
 
 
+_BYTES = np.uint64(0x0101010101010101)  # one in every byte of a word
+
+
+def _bytes_below(words: np.ndarray, t: int) -> np.ndarray:
+    """Per uint64 word: bit 7 of byte v set when byte v has fewer than ``t``
+    bits set (0 <= t <= 9), every other bit clear.
+
+    The byte popcounts c come from the SWAR halving sums; then the byte
+    0x7F + t - c has bit 7 set exactly when c < t, and with c <= 8 no byte
+    borrows from the next.
+    """
+    x = words - ((words >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return (np.uint64(0x7F + t) * _BYTES - x) & np.uint64(0x8080808080808080)
+
+
+def _min_degree_at_least(graphs: np.ndarray, n: int, t: int) -> np.ndarray:
+    """Per bit-row word (vertices ``0..n-1``, padding rows zero): is every
+    degree at least ``t``."""
+    return _bytes_below(graphs, t) & np.uint64((1 << 8 * n) - 1) == 0
+
+
+def _common_neighbours_at_least(rows: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Per graph of a ``(B, 8)`` bit-row array: does every non-adjacent
+    pair of ``0..n-1`` have at least k common neighbours.
+
+    One pass per vertex u: the word of the graph masked by row u holds in
+    byte v the common neighbours of u and v, and only the non-neighbours
+    v > u are read, so each pair counts once and adjacent pairs not at all.
+    """
+    graphs = rows.view(np.uint64).ravel()
+    short = np.zeros(len(graphs), dtype=np.uint64)
+    for u in range(n - 1):
+        row = rows[:, u]
+        later = np.uint8(((1 << n) - 1) & -(2 << u))  # vertices u+1 .. n-1
+        short |= _bytes_below(graphs & row.astype(np.uint64) * _BYTES, k) & _SPREAD[~row & later]
+    return short == 0
+
+
 def _k_connected_rows(rows: np.ndarray, n: int, k: int) -> np.ndarray:
     """k-connectivity of each graph of a ``(B, 8)`` uint8 bit-row array
     (vertices ``0..n-1``, n <= 8, padding rows zero) whose minimum degree is
-    at least k: then G is k-connected iff G - S is connected for every
-    (k-1)-subset S, as in ``is_k_connected_small``.  At k = 1 this is
-    connectivity, for any graph."""
-    graphs = rows.view(np.uint64).ravel()
+    at least k, so that n >= k + 1.  At k = 1 this is connectivity, for any
+    graph.
+
+    Exact rungs run first, each a proof for the graphs it settles, and each
+    later rung sees only the graphs the earlier ones left open:
+
+    1. Dirac: 2 delta >= n + k - 2 makes G k-connected.
+    2. Common neighbours: every non-adjacent pair with at least k of them
+       makes G k-connected, since a separator of fewer than k vertices
+       would hold every common neighbour of two vertices it separates.
+       The Ore-type degree sum deg u + deg v >= n + k - 2 on non-adjacent
+       pairs implies it (such a pair shares at least k neighbours), as
+       does Dirac, so it settles every graph those would, and more.
+    3. The subset reach: G is k-connected iff G - S is connected for every
+       (k-1)-subset S, as in ``is_k_connected_small``.  Each reach starts
+       from the lowest surviving vertex and its surviving neighbours.
+    """
+    # 2 delta >= n + k - 2, that is delta >= ceil((n + k - 2) / 2)
+    ok = _min_degree_at_least(rows.view(np.uint64).ravel(), n, (n + k - 1) // 2)
+    left = np.flatnonzero(~ok)
+    if not len(left):
+        return ok
+    shared = _common_neighbours_at_least(rows[left], n, k)
+    ok[left] = shared
+    left = left[~shared]
+    if not len(left):
+        return ok
+    rest = rows[left]
+    graphs = rest.view(np.uint64).ravel()
     full = (1 << n) - 1
-    ok = np.ones(len(graphs), dtype=bool)
+    reached = np.ones(len(left), dtype=bool)
     for sub in itertools.combinations(range(n), k - 1):
         allowed = full & ~sum(1 << v for v in sub)
-        start = np.full(len(graphs), allowed & -allowed, dtype=np.uint8)
-        ok &= _reach_within(graphs, start, allowed) == allowed
+        v = (allowed & -allowed).bit_length() - 1
+        start = (rest[:, v] | np.uint8(1 << v)) & np.uint8(allowed)
+        reached &= _reach_within(graphs, start, allowed) == allowed
+    ok[left] = reached
     return ok
 
 
@@ -359,9 +426,14 @@ def _lemma23_chunk(task: tuple) -> Report:
     density-condition sweep, in ``itertools.combinations`` order.
 
     The block is unranked and filtered as numpy bit rows, one uint8 per
-    vertex, and counted as a block.  Graphs the batched k-connectivity
-    test rejects, and every ``_LEMMA23_STRIDE``-th graph of the size, take
-    the scalar path in rank order, one ``record`` each:
+    vertex, and counted as a block.  The graphs of minimum degree at least
+    delta take the batched k-connectivity test, whose exact Dirac and
+    common-neighbour rungs (the second implied by the Ore-type degree sum)
+    settle most of them before any subset reach; only the graphs it finds
+    not k-connected take the connectivity test that tells the skipped
+    (disconnected) ones apart.  Graphs the batched test rejects, and every
+    ``_LEMMA23_STRIDE``-th graph of the size however the batch settled it,
+    take the scalar path in rank order, one ``record`` each:
     ``is_k_connected_small`` must agree with the batch, the stride graphs
     are cross-checked against max flow, and a graph that is not
     k-connected must be a member of the extremal construction.
@@ -379,11 +451,15 @@ def _lemma23_chunk(task: tuple) -> Report:
     complement = pair_bits[_unrank_combinations(npairs, size, lo, hi)]
     graphs = np.bitwise_xor.reduce(complement, axis=1) ^ np.bitwise_xor.reduce(pair_bits)
     rows = graphs.view(np.uint8).reshape(count, 8)
-    # within the budget a disconnected graph already fails the degree filter
-    # (it misses >= (delta+1)(n-delta-1) edges); connectivity is checked anyway
-    keep = (_POPCOUNT[rows[:, :n]].min(axis=1) >= delta) & _k_connected_rows(rows, n, 1)
-    kept = np.flatnonzero(keep)
-    kernel_ok = _k_connected_rows(rows[kept], n, k)
+    admissible = np.flatnonzero(_min_degree_at_least(graphs, n, delta))
+    kernel_ok = _k_connected_rows(rows[admissible], n, k)
+    # a k-connected graph is connected; within the budget a disconnected graph
+    # already fails the degree filter (it misses >= (delta+1)(n-delta-1) edges),
+    # so connectivity is checked only to keep the skip count exact
+    connected = kernel_ok.copy()
+    connected[~kernel_ok] = _k_connected_rows(rows[admissible[~kernel_ok]], n, 1)
+    kept = admissible[connected]
+    kernel_ok = kernel_ok[connected]
     strided = (lo + kept + 1) % _LEMMA23_STRIDE == 0  # 1-based position within the size
     scalar = ~kernel_ok | strided
     part.skipped = count - len(kept)

@@ -12,6 +12,7 @@ import pytest
 
 from qconn import (
     CampaignConfig,
+    Graph,
     Report,
     build_A,
     complete,
@@ -24,7 +25,7 @@ from qconn import (
 )
 from qconn import harness
 from qconn.cli import main
-from qconn.connectivity import is_k_connected_small
+from qconn.connectivity import dirac_condition, is_k_connected_small
 from qconn.graphs import iter_labeled_graphs
 from qconn.harness import CampaignError, CorpusError, RandomGraphError
 
@@ -218,17 +219,129 @@ def test_unrank_combinations_matches_itertools(npairs, size):
     assert np.array_equal(harness._unrank_combinations(npairs, size, lo, hi), want[lo:hi])
 
 
-def test_k_connected_rows_matches_subset_check():
+def _k8_minus(combos):
+    """Bit rows and graphs of K_8 minus each complement edge set of ``combos``
+    (rows of pair indices in ``itertools.combinations(range(8), 2)`` order)."""
+    words = harness._pair_words(8)
+    graphs = np.bitwise_xor.reduce(words) ^ np.bitwise_xor.reduce(words[combos], axis=1)
+    rows = graphs.view(np.uint8).reshape(len(combos), 8)
+    return rows, [Graph.from_rows(row.tolist()) for row in rows]
+
+
+def ladder_cases():
+    """(n, k, rows, graphs) with minimum degree at least k, k = 1..4: every
+    labeled graph on n <= 6 vertices, every K_8 minus at most 3 edges, and a
+    seeded sample of 600 K_8 minus 8 edges."""
+    corpora = []
     for n in range(1, 7):
         graphs = list(iter_labeled_graphs(n))
         rows = np.zeros((len(graphs), 8), dtype=np.uint8)
         rows[:, :n] = [g.rows for g in graphs]
+        corpora.append((n, rows, graphs))
+    for size in range(4):
+        combos = np.array(list(itertools.combinations(range(28), size)), dtype=np.int64)
+        corpora.append((8, *_k8_minus(combos.reshape(math.comb(28, size), size))))
+    rng = np.random.default_rng(2303)
+    corpora.append((8, *_k8_minus(np.array([rng.choice(28, 8, replace=False) for _ in range(600)]))))
+    for n, rows, graphs in corpora:
         mindeg = np.array([min(g.degrees()) for g in graphs])
         for k in range(1, 5):
             admissible = np.flatnonzero(mindeg >= k)
-            got = harness._k_connected_rows(rows[admissible], n, k)
-            want = [is_k_connected_small(graphs[i], k)[0] for i in admissible]
-            assert got.tolist() == want, (n, k)
+            yield n, k, rows[admissible], [graphs[i] for i in admissible]
+
+
+def common_neighbours_at_least(g, k):
+    rows = g.rows
+    return all(bin(rows[u] & rows[v]).count("1") >= k
+               for u, v in itertools.combinations(range(g.n), 2) if not rows[u] >> v & 1)
+
+
+def test_k_connected_rows_matches_subset_check():
+    settled = {"dirac": 0, "shared": 0, "reach-yes": 0, "reach-no": 0}
+    for n, k, rows, graphs in ladder_cases():
+        got = harness._k_connected_rows(rows, n, k)
+        want = [is_k_connected_small(g, k)[0] for g in graphs]
+        assert got.tolist() == want, (n, k)
+        for g, ok in zip(graphs, want):
+            rung = ("dirac" if dirac_condition(g, k) else "shared" if common_neighbours_at_least(g, k)
+                    else "reach-yes" if ok else "reach-no")
+            settled[rung] += 1
+    # every rung settles some of the cases, and the reach finds both verdicts
+    assert min(settled.values()) > 0, settled
+
+
+def test_dirac_rung_matches_dirac_condition(monkeypatch):
+    # the common-neighbour rung, stubbed to settle nothing, sees exactly the
+    # graphs the Dirac rung left open; the reach then decides them alone
+    opened = []
+
+    def spy(rows, n, k):
+        opened.append(rows.copy())
+        return np.zeros(len(rows), dtype=bool)
+
+    monkeypatch.setattr(harness, "_common_neighbours_at_least", spy)
+    for n, k, rows, graphs in ladder_cases():
+        opened.clear()
+        got = harness._k_connected_rows(rows, n, k)
+        assert got.tolist() == [is_k_connected_small(g, k)[0] for g in graphs], (n, k)
+        dirac = np.array([dirac_condition(g, k) for g in graphs], dtype=bool)
+        assert len(opened) == int(not dirac.all())
+        assert np.array_equal(opened[0] if opened else rows[:0], rows[~dirac]), (n, k)
+
+
+def test_common_neighbour_rung_matches_its_definition():
+    for n, k, rows, graphs in ladder_cases():
+        got = harness._common_neighbours_at_least(rows, n, k)
+        assert got.tolist() == [common_neighbours_at_least(g, k) for g in graphs], (n, k)
+
+
+def _count_reached(monkeypatch):
+    """Spy on the batched reach: graphs per call, keyed by the number of
+    surviving vertices."""
+    reached = {}
+    reach = harness._reach_within
+
+    def spy(graphs, seen, allowed):
+        survivors = bin(allowed).count("1")
+        reached[survivors] = reached.get(survivors, 0) + len(graphs)
+        return reach(graphs, seen, allowed)
+
+    monkeypatch.setattr(harness, "_reach_within", spy)
+    return reached
+
+
+# graphs of K_8 minus at most ``budget`` edges that reach the subset reach at
+# (8,3,3) after the Dirac and common-neighbour rungs; the connectivity reach
+# gets none, since the 420 exceptional graphs have diameter 2
+@pytest.mark.parametrize("budget,subset_reach", [(4, 0), (8, 2_873_780)])
+def test_lemma23_rungs_leave_only_open_graphs_to_the_reach(monkeypatch, budget, subset_reach):
+    reached = _count_reached(monkeypatch)
+    report = run_campaign(CampaignConfig(mode="lemma23", n=8, k=3, delta=3, complement_budget=budget))
+    assert report.failed == 0 and not report.violations
+    assert reached == ({6: subset_reach * math.comb(8, 2)} if subset_reach else {})  # G - S per pair S
+
+
+def test_lemma23_stride_crosschecks_rung_settled_graphs(monkeypatch):
+    # at budget 4 the rungs settle every graph, and the stride graphs still
+    # take the subset check and max flow
+    monkeypatch.setattr(harness, "_LEMMA23_STRIDE", 97)
+    reached = _count_reached(monkeypatch)
+    calls = {"subset": 0, "flow": 0}
+
+    def counted(name, fn):
+        def wrapper(g, k):
+            calls[name] += 1
+            return fn(g, k)
+        return wrapper
+
+    monkeypatch.setattr(harness, "is_k_connected_small", counted("subset", harness.is_k_connected_small))
+    monkeypatch.setattr(harness, "is_k_connected", counted("flow", harness.is_k_connected))
+    report = run_campaign(CampaignConfig(mode="lemma23", n=8, k=3, delta=3, complement_budget=4))
+    strided = sum(math.comb(28, size) // 97 for size in range(5))
+    assert report.details["crosschecked"] == calls["subset"] == calls["flow"] == strided == 247
+    assert report.failed == 0 and not report.violations and report.details["exceptional"] == 0
+    assert report.passed == report.tested == 24_158
+    assert not reached
 
 
 def test_theorem15_campaign():
