@@ -33,8 +33,8 @@ import numpy as np
 from .connectivity import (
     ConnectivityResult,
     density_condition,
+    density_rhs,
     is_k_connected,
-    is_k_connected_small,
     vertex_connectivity,
 )
 from .extremal import (
@@ -228,8 +228,7 @@ def check_lemma_2_3(g: Graph, k: int, delta: int) -> LemmaReport:
     if not density.satisfied:
         details["branch"] = "density condition not triggered"
         return LemmaReport("2.3", passed=True, details=details)
-    checker = is_k_connected_small if g.n <= 12 else is_k_connected
-    ok, cut = checker(g, k)
+    ok, cut = is_k_connected(g, k)
     if ok:
         details["branch"] = "k-connected"
         return LemmaReport("2.3", passed=True, details=details)
@@ -540,8 +539,8 @@ def verify_theorem_proof_chain(params: ExtremalParams) -> ProofChainReport:
     t = q_threshold(params)
     # q >= t and q <= 2m/(n-1) + n - 2 give 2m/(n-1) >= t - n + 2
     m_lower = Fraction((t - n + 2) * (n - 1), 2)
-    density_rhs = n * (n - 1) // 2 - (d - k + 3) * (n - d - 2)
-    margin = m_lower - density_rhs
+    rhs = density_rhs(n, k, d)
+    margin = m_lower - rhs
     decomposition = Fraction(n - d - 2) - (d - k + 2) * (d + 1)
     identity_ok = margin == decomposition
     order_ok = k >= 3 and n >= threshold_F(k, d)
@@ -549,7 +548,7 @@ def verify_theorem_proof_chain(params: ExtremalParams) -> ProofChainReport:
         params=params,
         threshold=t,
         m_lower_bound=m_lower,
-        density_rhs=density_rhs,
+        density_rhs=rhs,
         identity_ok=identity_ok,
         margin=margin,
         chain_holds=margin > 0,

@@ -31,7 +31,7 @@ from .graphs import Graph, _bits, _reach_mask, degree_profile, is_connected
 class ConnectivityResult:
     kappa: int
     cut: Tuple[int, ...]
-    method: str  # "maxflow" | "brute-force"
+    method: str  # "maxflow" | "maxflow-threshold" | "brute-force"
 
     def to_dict(self) -> dict:
         return {"kappa": self.kappa, "cut": list(self.cut), "method": self.method}
@@ -289,6 +289,12 @@ def density_parameter_failures(n: int, k: int, delta: int) -> list:
     return failures
 
 
+def density_rhs(n: int, k: int, delta: int) -> int:
+    """The density condition's threshold n(n-1)/2 - (delta-k+3)(n-delta-2):
+    the condition is m > density_rhs(n, k, delta)."""
+    return n * (n - 1) // 2 - (delta - k + 3) * (n - delta - 2)
+
+
 def density_condition(g: Graph, k: int, delta: int) -> DensityCheck:
     n = g.n
     profile = degree_profile(g)
@@ -297,7 +303,7 @@ def density_condition(g: Graph, k: int, delta: int) -> DensityCheck:
         failures.append("graph not connected")
     if not profile.min_degree >= delta:
         failures.append(f"min degree {profile.min_degree} < delta={delta}")
-    rhs = n * (n - 1) // 2 - (delta - k + 3) * (n - delta - 2)
+    rhs = density_rhs(n, k, delta)
     return DensityCheck(
         n=n,
         m=g.m,

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, List, Optional
 import numpy as np
 
 from . import certifier
-from .connectivity import density_parameter_failures, is_k_connected, is_k_connected_small
+from .connectivity import density_parameter_failures, density_rhs, is_k_connected, is_k_connected_small
 from .extremal import (
     ExtremalParams,
     build_A,
@@ -270,7 +270,7 @@ def _lemma22_chunk(task: tuple) -> Report:
     enumerated = 0
     for g in iter_labeled_graphs(n, mask_range=(lo, hi)):
         enumerated += 1
-        if not is_connected(g) or g.n < 2:
+        if not is_connected(g):
             continue
         bound = q_upper_bound_edges(g)
         verdict, est = decide_q_gt(g, bound + _LEMMA22_SLACK)
@@ -288,16 +288,18 @@ def _lemma22_chunk(task: tuple) -> Report:
 def _run_lemma22(config: CampaignConfig, report: Report) -> None:
     if config.n_max > _ENUMERATION_MAX_N:
         raise CampaignError(f"edge-bound sweep is exhaustive only up to n={_ENUMERATION_MAX_N}")
-    if config.n_min > config.n_max:
-        raise CampaignError(f"n_min={config.n_min} exceeds n_max={config.n_max}")
+    n_min = max(2, config.n_min)  # the edge bound divides by n - 1
+    if n_min > config.n_max:
+        raise CampaignError(f"n_max={config.n_max} is below 2, the smallest order the sweep tests"
+                            if config.n_max < 2 else f"n_min={config.n_min} exceeds n_max={config.n_max}")
     tasks = []
     chunk = 1 << 16
-    for n in range(max(2, config.n_min), config.n_max + 1):
+    for n in range(n_min, config.n_max + 1):
         total = count_labeled_graphs(n)
         for lo in range(0, total, chunk):
             tasks.append((n, lo, min(lo + chunk, total)))
     _run_tasks(report, tasks, _lemma22_chunk, config.workers)
-    report.details["n_range"] = [max(2, config.n_min), config.n_max]
+    report.details["n_range"] = [n_min, config.n_max]
     report.details["slack"] = _LEMMA22_SLACK
     by_order: dict = {}
     for violation in report.violations:
@@ -309,7 +311,7 @@ def _run_lemma22(config: CampaignConfig, report: Report) -> None:
 
 # graphs per lemma23 task: bounds a task's arrays and balances the workers
 _LEMMA23_BLOCK = 1 << 16
-# every this-many-th graph of a complement size is cross-checked by max flow
+# every this-many-th graph of a complement size takes the scalar checks too
 _LEMMA23_STRIDE = 100_000
 
 
@@ -426,70 +428,46 @@ def _lemma23_chunk(task: tuple) -> Report:
     density-condition sweep, in ``itertools.combinations`` order.
 
     The block is unranked and filtered as numpy bit rows, one uint8 per
-    vertex, and counted as a block.  The graphs of minimum degree at least
-    delta take the batched k-connectivity test, whose exact Dirac and
-    common-neighbour rungs (the second implied by the Ore-type degree sum)
-    settle most of them before any subset reach; only the graphs it finds
-    not k-connected take the connectivity test that tells the skipped
-    (disconnected) ones apart.  Graphs the batched test rejects, and every
+    vertex, and counted as a block: the graphs of minimum degree below
+    delta are skipped, and the rest take the batched k-connectivity test,
+    whose exact Dirac and common-neighbour rungs (the second implied by the
+    Ore-type degree sum) settle most of them before any subset reach.  No
+    admitted graph is disconnected: one with minimum degree at least delta
+    misses at least (delta+1)(n-delta-1) edges, more than any size
+    ``_run_lemma23`` sweeps.  Graphs the batched test rejects, and every
     ``_LEMMA23_STRIDE``-th graph of the size however the batch settled it,
-    take the scalar path in rank order, one ``record`` each:
-    ``is_k_connected_small`` must agree with the batch, the stride graphs
-    are cross-checked against max flow, and a graph that is not
-    k-connected must be a member of the extremal construction.
+    take the scalar path in rank order, one ``record`` each: the batch,
+    ``is_k_connected_small`` and max flow must agree, and a graph that is
+    not k-connected must be a member of the extremal construction.
     """
     n, k, delta, size, lo, hi = task
     npairs = n * (n - 1) // 2
     m = npairs - size
-    rhs = npairs - (delta - k + 3) * (n - delta - 2)
     count = hi - lo
     part = Report(details={"enumerated": count, "exceptional": 0, "crosschecked": 0})
-    if not m > rhs:
-        part.tested = part.skipped = count
-        return part
     pair_bits = _pair_words(n)
     complement = pair_bits[_unrank_combinations(npairs, size, lo, hi)]
     graphs = np.bitwise_xor.reduce(complement, axis=1) ^ np.bitwise_xor.reduce(pair_bits)
     rows = graphs.view(np.uint8).reshape(count, 8)
-    admissible = np.flatnonzero(_min_degree_at_least(graphs, n, delta))
-    kernel_ok = _k_connected_rows(rows[admissible], n, k)
-    # a k-connected graph is connected; within the budget a disconnected graph
-    # already fails the degree filter (it misses >= (delta+1)(n-delta-1) edges),
-    # so connectivity is checked only to keep the skip count exact
-    connected = kernel_ok.copy()
-    connected[~kernel_ok] = _k_connected_rows(rows[admissible[~kernel_ok]], n, 1)
-    kept = admissible[connected]
-    kernel_ok = kernel_ok[connected]
-    strided = (lo + kept + 1) % _LEMMA23_STRIDE == 0  # 1-based position within the size
-    scalar = ~kernel_ok | strided
+    kept = np.flatnonzero(_min_degree_at_least(graphs, n, delta))
+    kernel_ok = _k_connected_rows(rows[kept], n, k)
+    scalar = ~kernel_ok | ((lo + kept + 1) % _LEMMA23_STRIDE == 0)  # 1-based position within the size
     part.skipped = count - len(kept)
     part.passed = len(kept) - int(scalar.sum())
     part.tested = part.skipped + part.passed
-    for idx, batch_ok, stride_hit in zip(kept[scalar].tolist(), kernel_ok[scalar].tolist(),
-                                         strided[scalar].tolist()):
+    for idx, batch_ok in zip(kept[scalar].tolist(), kernel_ok[scalar].tolist()):
         g = Graph.from_rows(rows[idx, :n].tolist(), validate=False)
-        conn_ok, _ = is_k_connected_small(g, k)
-        if conn_ok != batch_ok:
-            part.record(False, g, "batched and subset connectivity checks disagree")
-            continue
-        if stride_hit:
-            flow_ok, _ = is_k_connected(g, k)
-            part.details["crosschecked"] += 1
-            if flow_ok != conn_ok:
-                part.record(False, g, "max-flow and subset connectivity checks disagree")
-                continue
-        if conn_ok:
-            part.record(True)
-            continue
-        member = classify_membership(g, k, delta, permissive=True)
-        if member is None:
-            part.record(False, g, f"density condition met (m={m} > {rhs}) but neither "
-                                  f"{k}-connected nor a subgraph of the extremal construction")
-            continue
-        flow_ok, _ = is_k_connected(g, k)  # exceptions are rare: verify both routes
+        subset_ok, _ = is_k_connected_small(g, k)
+        flow_ok, _ = is_k_connected(g, k)
         part.details["crosschecked"] += 1
-        if flow_ok:
-            part.record(False, g, "subset check found a cut the max-flow path rejects")
+        if not batch_ok == subset_ok == flow_ok:
+            part.record(False, g, f"connectivity checks disagree: batched {batch_ok}, "
+                                  f"subset {subset_ok}, max-flow {flow_ok}")
+        elif batch_ok:
+            part.record(True)
+        elif classify_membership(g, k, delta, permissive=True) is None:
+            part.record(False, g, f"density condition met (m={m} > {density_rhs(n, k, delta)}) but "
+                                  f"neither {k}-connected nor a subgraph of the extremal construction")
         else:
             part.details["exceptional"] += 1
             part.record(True)
@@ -504,14 +482,13 @@ def _run_lemma23(config: CampaignConfig, report: Report) -> None:
     failures = density_parameter_failures(n, k, delta)
     if failures:
         raise CampaignError("density sweep outside the lemma's hypotheses: " + "; ".join(failures))
-    # m > n(n-1)/2 - (delta-k+3)(n-delta-2) means the complement has
-    # strictly fewer than (delta-k+3)(n-delta-2) edges
-    limit = (delta - k + 3) * (n - delta - 2) - 1
+    npairs = n * (n - 1) // 2
+    # m > density_rhs means the complement has at most this many edges
+    limit = npairs - density_rhs(n, k, delta) - 1
     budget = limit if config.complement_budget is None else config.complement_budget
     if not 0 <= budget <= limit:
         raise CampaignError(f"complement budget {budget} outside [0, {limit}]: a larger "
                             f"complement fails the density condition m > rhs")
-    npairs = n * (n - 1) // 2
     tasks = []
     for size in range(budget + 1):
         total = math.comb(npairs, size)

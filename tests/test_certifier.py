@@ -321,6 +321,23 @@ def test_lemma_2_3_examples():
     assert not rep.applicable and rep.findings
 
 
+@pytest.mark.parametrize("n", [8, 9, 13, 14])  # below and above the subset check's cap n <= 12
+def test_lemma_2_3_reports_a_separating_cut(n):
+    g, _ = build_A(ExtremalParams(n, 3, 3))
+    rep = check_lemma_2_3(g, 3, 3)
+    assert rep.passed and rep.applicable and rep.details["branch"] == "membership"
+    cut = rep.details["cut"]
+    assert cut == [0, 1] and rep.details["member"] is not None
+    assert len(cut) < 3 and not is_connected(g.subgraph([v for v in range(n) if v not in cut]))
+
+
+def test_lemma_2_3_k_connected_above_order_12():
+    g = complete(14).with_edges_removed([(2 * i, 2 * i + 1) for i in range(7)])
+    rep = check_lemma_2_3(g, 3, 3)
+    assert rep.passed and rep.applicable and rep.details["density_satisfied"]
+    assert rep.details["branch"] == "k-connected" and "cut" not in rep.details
+
+
 def test_lemma_2_3_not_triggered():
     # sparse but hypothesis-satisfying graph: condition not triggered
     g = cycle(9).with_edge_added(0, 3).with_edge_added(1, 5).with_edge_added(2, 7) \

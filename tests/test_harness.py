@@ -25,7 +25,7 @@ from qconn import (
 )
 from qconn import harness
 from qconn.cli import main
-from qconn.connectivity import dirac_condition, is_k_connected_small
+from qconn.connectivity import density_parameter_failures, density_rhs, dirac_condition, is_k_connected_small
 from qconn.graphs import iter_labeled_graphs
 from qconn.harness import CampaignError, CorpusError, RandomGraphError
 
@@ -117,7 +117,7 @@ def test_lemma22_canonical_json_pinned(n_max, workers, digest):
     assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("n_min,n_max", [(6, 8), (2, 9), (5, 4)])
+@pytest.mark.parametrize("n_min,n_max", [(6, 8), (2, 9), (5, 4), (0, 1), (1, 1)])
 def test_lemma22_rejects_bad_orders_before_sweeping(monkeypatch, n_min, n_max):
     def no_sweep(task):
         raise AssertionError("a task ran before the config was checked")
@@ -135,6 +135,8 @@ def test_lemma22_bad_orders_exit_code(capsys):
     assert "exhaustive only up to n=7" in capsys.readouterr().err
     assert main(["sweep", "--mode", "lemma22", "--n-min", "5", "--n-max", "4"]) == 2
     assert "n_min=5 exceeds n_max=4" in capsys.readouterr().err
+    assert main(["sweep", "--mode", "lemma22", "--n-min", "0", "--n-max", "1"]) == 2
+    assert "n_max=1 is below 2" in capsys.readouterr().err
     assert time.perf_counter() - start < 1.0
 
 
@@ -206,7 +208,65 @@ def test_lemma23_scalar_path_must_agree_with_batch(monkeypatch):
     assert report.counters_consistent()
     assert report.failed == 3 and report.details["exceptional"] == 105
     assert {v["detail"] for v in report.violations} == {
-        "batched and subset connectivity checks disagree"}
+        "connectivity checks disagree: batched True, subset False, max-flow True"}
+
+
+def test_lemma23_scalar_path_must_agree_with_max_flow(monkeypatch):
+    # a max-flow check that finds every graph k-connected contradicts the
+    # batch and the subset check on the 105 exceptional graphs
+    monkeypatch.setattr(harness, "is_k_connected", lambda g, k: (True, ()))
+    report = run_campaign(CampaignConfig(mode="lemma23", n=7, k=2, delta=2))
+    assert report.counters_consistent()
+    assert report.failed == 105 and report.details["exceptional"] == 0
+    assert {v["detail"] for v in report.violations} == {
+        "connectivity checks disagree: batched False, subset False, max-flow True"}
+
+
+def test_lemma23_cut_graphs_must_be_extremal_members(monkeypatch):
+    # a classifier that finds no member fails each of the 105 exceptional graphs
+    monkeypatch.setattr(harness, "classify_membership", lambda g, k, delta, permissive: None)
+    report = run_campaign(CampaignConfig(mode="lemma23", n=7, k=2, delta=2))
+    assert report.counters_consistent()
+    assert report.failed == 105 and report.details["exceptional"] == 0
+    assert {v["detail"] for v in report.violations} == {
+        "density condition met (m=13 > 12) but neither 2-connected nor a subgraph of the extremal construction"}
+
+
+@pytest.mark.parametrize("nkd,budget", [((8, 3, 3), 5), ((7, 2, 2), None)])
+def test_lemma23_batch_tests_only_k_connectivity(monkeypatch, nkd, budget):
+    # no admitted graph is disconnected, so no connectivity pass runs
+    seen = set()
+    rows_test = harness._k_connected_rows
+
+    def spy(rows, n, k):
+        seen.add(k)
+        return rows_test(rows, n, k)
+
+    monkeypatch.setattr(harness, "_k_connected_rows", spy)
+    n, k, delta = nkd
+    report = run_campaign(CampaignConfig(mode="lemma23", n=n, k=k, delta=delta,
+                                         complement_budget=budget))
+    assert report.failed == 0 and seen == {k}
+
+
+def test_density_budget_admits_only_dense_connected_graphs():
+    # every complement size the lemma23 sweep may enumerate meets m > rhs, the
+    # next size does not, and a disconnected graph of minimum degree delta
+    # misses more edges than that
+    cases = 0
+    for n in range(41):
+        for k in range(n + 1):
+            for delta in range(n + 1):
+                if density_parameter_failures(n, k, delta):
+                    continue
+                npairs = n * (n - 1) // 2
+                limit = (delta - k + 3) * (n - delta - 2) - 1
+                rhs = density_rhs(n, k, delta)
+                assert all(npairs - size > rhs for size in range(limit + 1)), (n, k, delta)
+                assert not npairs - (limit + 1) > rhs, (n, k, delta)
+                assert (delta + 1) * (n - delta - 1) > limit, (n, k, delta)
+                cases += 1
+    assert cases > 1000
 
 
 @pytest.mark.parametrize("npairs,size", [(28, 0), (28, 1), (28, 4), (15, 5), (10, 10)])
@@ -311,8 +371,7 @@ def _count_reached(monkeypatch):
 
 
 # graphs of K_8 minus at most ``budget`` edges that reach the subset reach at
-# (8,3,3) after the Dirac and common-neighbour rungs; the connectivity reach
-# gets none, since the 420 exceptional graphs have diameter 2
+# (8,3,3) after the Dirac and common-neighbour rungs
 @pytest.mark.parametrize("budget,subset_reach", [(4, 0), (8, 2_873_780)])
 def test_lemma23_rungs_leave_only_open_graphs_to_the_reach(monkeypatch, budget, subset_reach):
     reached = _count_reached(monkeypatch)
