@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterator, List, Optional
@@ -254,6 +253,7 @@ def _run_tasks(report: Report, tasks: list, fn: Callable[[tuple], Report], worke
     if workers <= 1 or len(tasks) <= 1:
         parts = map(fn, tasks)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(fn, tasks))
     for part in parts:
@@ -313,54 +313,63 @@ def _run_lemma22(config: CampaignConfig, report: Report) -> None:
 _LEMMA23_BLOCK = 1 << 16
 # every this-many-th graph of a complement size takes the scalar checks too
 _LEMMA23_STRIDE = 100_000
+# complement-word lists kept whole up to this length: at n = 8 sizes 0..7, 13.5 MB
+_WORD_TABLE_MAX = 1 << 21
 
 
 @functools.cache
-def _comb_table(npairs: int, r: int) -> np.ndarray:
-    """C(a, r) for a = 0 .. npairs - 1, read-only."""
-    return _frozen(np.array([math.comb(a, r) for a in range(npairs)], dtype=np.int64))
+def _word_table(n: int, size: int) -> np.ndarray:
+    """Every size-``size`` complement word at order n, read-only."""
+    return _frozen(_complement_words(n, size, 0, math.comb(n * (n - 1) // 2, size), whole=False))
 
 
-def _unrank_combinations(npairs: int, size: int, lo: int, hi: int) -> np.ndarray:
-    """Rows ``lo..hi-1`` of ``itertools.combinations(range(npairs), size)``
-    as an ``(hi - lo, size)`` int64 array.
-
-    The lexicographic rank r of c_0 < ... < c_{s-1} satisfies
-    C(N, s) - 1 - r = sum_i C(N-1-c_i, s-i): the combinatorial number system
-    rank of the reflected subset, decoded greedily from c_0 on with one
-    ``searchsorted`` per position.
+def _complement_words(n: int, size: int, lo: int, hi: int, whole: bool = True) -> np.ndarray:
+    """Ranks ``lo..hi-1`` of ``itertools.combinations(range(npairs), size)``
+    as uint64 words, each the XOR of its pairs' ``_pair_words(n)``.  The
+    subsets led by pair c join it to a suffix of the size - 1 list, so an
+    interval splits on its leading pairs into slices of that list:
+    W_s = concat over c of (pair[c] ^ W_{s-1}[C(N, s-1) - C(N-1-c, s-1):]).
+    Lists of at most ``_WORD_TABLE_MAX`` words give read-only table views.
     """
-    rest = math.comb(npairs, size) - 1 - np.arange(lo, hi, dtype=np.int64)
-    out = np.empty((hi - lo, size), dtype=np.int64)
-    for pos in range(size):
-        table = _comb_table(npairs, size - pos)
-        top = np.searchsorted(table, rest, side="right") - 1
-        rest -= table[top]
-        out[:, pos] = npairs - 1 - top
+    pairs = _pair_words(n)
+    npairs = len(pairs)
+    total = math.comb(npairs, size)
+    if whole and total <= _WORD_TABLE_MAX:
+        return _word_table(n, size)[lo:hi]
+    out = np.zeros(hi - lo, dtype=np.uint64)  # at size 0, the empty subset's word
+    for c in range(npairs - size + 1) if size else ():
+        start, stop = total - math.comb(npairs - c, size), total - math.comb(npairs - 1 - c, size)
+        if lo < stop and start < hi:
+            shift = math.comb(npairs, size - 1) - math.comb(npairs - 1 - c, size - 1) - start
+            a, b = max(lo, start), min(hi, stop)
+            out[a - lo:b - lo] = _complement_words(n, size - 1, a + shift, b + shift) ^ pairs[c]
     return out
 
 
 _BYTES = np.uint64(0x0101010101010101)  # one in every byte of a word
 
 
-def _bytes_below(words: np.ndarray, t: int) -> np.ndarray:
-    """Per uint64 word: bit 7 of byte v set when byte v has fewer than ``t``
-    bits set (0 <= t <= 9), every other bit clear.
+def _bytes_below(x: np.ndarray, t: int, y: np.ndarray) -> np.ndarray:
+    """Per uint64 word of ``x``, in place (``y`` is scratch): bit 7 of byte v
+    set when byte v has fewer than ``t`` bits set (0 <= t <= 9), every other
+    bit clear.
 
     The byte popcounts c come from the SWAR halving sums; then the byte
     0x7F + t - c has bit 7 set exactly when c < t, and with c <= 8 no byte
     borrows from the next.
     """
-    x = words - ((words >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (np.uint64(0x7F + t) * _BYTES - x) & np.uint64(0x8080808080808080)
+    x -= np.bitwise_and(np.right_shift(x, np.uint64(1), out=y), np.uint64(0x5555555555555555), out=y)
+    x -= np.bitwise_and(np.right_shift(x, np.uint64(2), out=y), np.uint64(0x3333333333333333), out=y) * 3
+    x += np.right_shift(x, np.uint64(4), out=y)
+    x &= np.uint64(0x0F0F0F0F0F0F0F0F)
+    np.subtract(np.uint64(0x7F + t) * _BYTES, x, out=x)
+    return np.bitwise_and(x, np.uint64(0x8080808080808080), out=x)
 
 
 def _min_degree_at_least(graphs: np.ndarray, n: int, t: int) -> np.ndarray:
     """Per bit-row word (vertices ``0..n-1``, padding rows zero): is every
     degree at least ``t``."""
-    return _bytes_below(graphs, t) & np.uint64((1 << 8 * n) - 1) == 0
+    return _bytes_below(graphs.copy(), t, np.empty_like(graphs)) & np.uint64((1 << 8 * n) - 1) == 0
 
 
 def _common_neighbours_at_least(rows: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -373,10 +382,12 @@ def _common_neighbours_at_least(rows: np.ndarray, n: int, k: int) -> np.ndarray:
     """
     graphs = rows.view(np.uint64).ravel()
     short = np.zeros(len(graphs), dtype=np.uint64)
+    x, y = np.empty_like(graphs), np.empty_like(graphs)
     for u in range(n - 1):
         row = rows[:, u]
         later = np.uint8(((1 << n) - 1) & -(2 << u))  # vertices u+1 .. n-1
-        short |= _bytes_below(graphs & row.astype(np.uint64) * _BYTES, k) & _SPREAD[~row & later]
+        _bytes_below(np.bitwise_and(graphs, np.multiply(row, _BYTES, out=x), out=x), k, y)
+        short |= np.bitwise_and(x, np.take(_SPREAD, ~row & later, out=y), out=x)
     return short == 0
 
 
@@ -427,8 +438,8 @@ def _lemma23_chunk(task: tuple) -> Report:
     """Ranks ``lo..hi-1`` of the complement subsets of one size in the
     density-condition sweep, in ``itertools.combinations`` order.
 
-    The block is unranked and filtered as numpy bit rows, one uint8 per
-    vertex, and counted as a block: the graphs of minimum degree below
+    The block is built by ``_complement_words``, filtered as numpy bit
+    rows, one uint8 per vertex, and counted as a block: the graphs of minimum degree below
     delta are skipped, and the rest take the batched k-connectivity test,
     whose exact Dirac and common-neighbour rungs (the second implied by the
     Ore-type degree sum) settle most of them before any subset reach.  No
@@ -445,9 +456,7 @@ def _lemma23_chunk(task: tuple) -> Report:
     m = npairs - size
     count = hi - lo
     part = Report(details={"enumerated": count, "exceptional": 0, "crosschecked": 0})
-    pair_bits = _pair_words(n)
-    complement = pair_bits[_unrank_combinations(npairs, size, lo, hi)]
-    graphs = np.bitwise_xor.reduce(complement, axis=1) ^ np.bitwise_xor.reduce(pair_bits)
+    graphs = _complement_words(n, size, lo, hi) ^ np.bitwise_xor.reduce(_pair_words(n))
     rows = graphs.view(np.uint8).reshape(count, 8)
     kept = np.flatnonzero(_min_degree_at_least(graphs, n, delta))
     kernel_ok = _k_connected_rows(rows[kept], n, k)

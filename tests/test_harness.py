@@ -180,6 +180,18 @@ def test_lemma23_canonical_json_pinned(monkeypatch, block, nkd, budget, workers,
     assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("block,nkd,budget,workers,digest", [
+    pytest.param(block, *pin.values, id=f"{pin.id}-block-{block}")
+    for block, pin in ((7, LEMMA23_PINS[0]), (7, LEMMA23_PINS[1]), (997, LEMMA23_PINS[2]))])
+def test_lemma23_pins_hold_across_leading_pair_boundaries(monkeypatch, block, nkd, budget, workers, digest):
+    # odd blocks and word tables of at most 7 words, so that the builder splits
+    # intervals that straddle the leading-pair boundaries of each size: block 7
+    # crosses every one at budget 3; budget 5, whose report counts the graphs
+    # skipped for low degree and so depends on which graphs are built, takes 997
+    monkeypatch.setattr(harness, "_WORD_TABLE_MAX", 7)
+    test_lemma23_canonical_json_pinned(monkeypatch, block, nkd, budget, workers, digest)
+
+
 @pytest.mark.parametrize("overrides", [
     dict(k=0),  # k >= 2
     dict(n=5, k=2, delta=1),  # delta >= k: it recorded 20 false violations
@@ -270,13 +282,19 @@ def test_density_budget_admits_only_dense_connected_graphs():
 
 
 @pytest.mark.parametrize("npairs,size", [(28, 0), (28, 1), (28, 4), (15, 5), (10, 10)])
-def test_unrank_combinations_matches_itertools(npairs, size):
-    want = np.array(list(itertools.combinations(range(npairs), size)), dtype=np.int64)
-    want = want.reshape(math.comb(npairs, size), size)
-    got = harness._unrank_combinations(npairs, size, 0, len(want))
-    assert got.dtype == np.int64 and np.array_equal(got, want)
+def test_unrank_combinations_matches_itertools(monkeypatch, npairs, size):
+    # the complement words of a rank interval are the XORs of the pair words of
+    # the itertools.combinations subsets at those ranks, whether read from the
+    # whole tables or split on leading pairs down to tables of at most 3 words
+    n = math.isqrt(2 * npairs) + 1
+    combos = np.array(list(itertools.combinations(range(npairs), size)), dtype=np.int64)
+    want = np.bitwise_xor.reduce(harness._pair_words(n)[combos], axis=1)
     lo, hi = len(want) // 3, len(want) // 3 + len(want) // 2 + 1
-    assert np.array_equal(harness._unrank_combinations(npairs, size, lo, hi), want[lo:hi])
+    for cap in (harness._WORD_TABLE_MAX, 3):
+        monkeypatch.setattr(harness, "_WORD_TABLE_MAX", cap)
+        got = harness._complement_words(n, size, 0, len(want))
+        assert got.dtype == np.uint64 and np.array_equal(got, want)
+        assert np.array_equal(harness._complement_words(n, size, lo, hi), want[lo:hi])
 
 
 def _k8_minus(combos):
@@ -455,17 +473,30 @@ _ONE_BLAS_THREAD = {name: "1" for name in
                     ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-@pytest.mark.parametrize("overrides,digest", FAMILY_SWEEP_PINS)
-def test_family_sweep_canonical_json_pinned(overrides, digest):
-    script = ("from qconn.harness import CampaignConfig, run_campaign\n"
-              f"config = CampaignConfig(mode='family-sweep', **{overrides!r})\n"
-              "print(run_campaign(config).canonical_json())")
+def _child_python(script: str) -> str:
+    """Standard output of ``script`` run in a fresh interpreter that imports this qconn."""
     src = os.path.dirname(os.path.dirname(harness.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                            env={**os.environ, **_ONE_BLAS_THREAD, "PYTHONPATH": path})
     assert child.returncode == 0, child.stderr
-    assert hashlib.sha256(child.stdout.rstrip("\n").encode()).hexdigest() == digest
+    return child.stdout
+
+
+@pytest.mark.parametrize("overrides,digest", FAMILY_SWEEP_PINS)
+def test_family_sweep_canonical_json_pinned(overrides, digest):
+    out = _child_python("from qconn.harness import CampaignConfig, run_campaign\n"
+                        f"config = CampaignConfig(mode='family-sweep', **{overrides!r})\n"
+                        "print(run_campaign(config).canonical_json())")
+    assert hashlib.sha256(out.rstrip("\n").encode()).hexdigest() == digest
+
+
+def test_import_loads_no_process_pool():
+    # the pool modules load only when a campaign shards across workers
+    out = _child_python("import sys, qconn\n"
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                        "('multiprocessing', 'concurrent')))")
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("nkd,calls", [((103, 3, 3), (13, 13, 9)), ((160, 4, 4), (15, 15, 11))])
