@@ -504,9 +504,9 @@ def _cached_lower_triangle(n: int) -> np.ndarray:
 # -- bit-row words --------------------------------------------------------
 #
 # A graph on n <= 8 vertices fits one uint64 whose byte v is the bit row of
-# vertex v.  The batched kernels (the labeled enumerator below and the
-# density sweep in ``harness``) hold one such word per graph and share these
-# read-only tables and the reach kernel.
+# vertex v.  The batched kernels (the labeled enumerator below, and the
+# edge-bound and density sweeps in ``harness``) hold one such word per graph
+# and share these read-only tables and the reach kernel.
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -556,6 +556,19 @@ _ENUMERATION_MAX_N = 7
 _ENUMERATION_BLOCK = 1 << 11
 
 
+def _labeled_block(n: int, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The bit-row words of edge masks ``lo..hi-1`` at order n <= 7 (bit e
+    of a mask is pair e of ``itertools.combinations(range(n), 2)``) and
+    whether each graph is connected, by the reach from vertex 0.  Callers
+    pass at most ``_ENUMERATION_BLOCK`` masks."""
+    pair_words = _pair_words(n)
+    masks = np.arange(lo, hi, dtype=np.uint64)
+    words = ((masks[:, None] >> np.arange(len(pair_words), dtype=np.uint64)) & np.uint64(1)) @ pair_words
+    full = (1 << n) - 1
+    seen = np.full(len(words), full & -full, dtype=np.uint8)  # vertex 0, if any
+    return words, _reach_within(words, seen, full) == full
+
+
 def iter_labeled_graphs(n: int, mask_range: Optional[Tuple[int, int]] = None) -> Iterator[Graph]:
     """Yield every labeled graph on ``n`` <= 7 vertices exactly once.
 
@@ -563,8 +576,8 @@ def iter_labeled_graphs(n: int, mask_range: Optional[Tuple[int, int]] = None) ->
     standing for pair e of ``itertools.combinations(range(n), 2)``;
     ``mask_range`` restricts the walk to a half-open mask interval so
     concurrent consumers can own disjoint chunks.  Each block of at most
-    ``_ENUMERATION_BLOCK`` masks is built as bit-row words in numpy, with
-    degrees from a popcount table and connectivity from the reach kernel,
+    ``_ENUMERATION_BLOCK`` masks is built by ``_labeled_block`` as bit-row
+    words with their connectivity, and degrees come from a popcount table,
     so every graph arrives with its degree tuple cached, and a connected
     one with its single component.  An order outside [0, 7] or a range
     outside [0, 2^C(n,2)] raises ``ValueError`` before any graph is yielded.
@@ -575,17 +588,11 @@ def iter_labeled_graphs(n: int, mask_range: Optional[Tuple[int, int]] = None) ->
     lo, hi = (0, total) if mask_range is None else mask_range
     if not 0 <= lo <= hi <= total:
         raise ValueError(f"mask range [{lo}, {hi}) outside [0, {total}] for n={n}")
-    pair_words = _pair_words(n)
-    shifts = np.arange(len(pair_words), dtype=np.uint64)
-    full = (1 << n) - 1
     spanning = (tuple(range(n)),) if n else ()
     for start in range(lo, hi, _ENUMERATION_BLOCK):
-        masks = np.arange(start, min(start + _ENUMERATION_BLOCK, hi), dtype=np.uint64)
-        words = ((masks[:, None] >> shifts) & np.uint64(1)) @ pair_words
+        words, connected = _labeled_block(n, start, min(start + _ENUMERATION_BLOCK, hi))
         rows = words.view(np.uint8).reshape(-1, 8)[:, :n]
-        seen = np.full(len(words), full & -full, dtype=np.uint8)  # vertex 0, if any
-        connected = (_reach_within(words, seen, full) == full).tolist()
-        for row, degs, conn in zip(rows.tolist(), _POPCOUNT[rows].tolist(), connected):
+        for row, degs, conn in zip(rows.tolist(), _POPCOUNT[rows].tolist(), connected.tolist()):
             g = Graph.from_rows(row, validate=False)
             g._degs = tuple(degs)
             if conn:

@@ -27,9 +27,11 @@ The rung is one-sided: a graph with 2 min degree >= T goes on to the
 next rungs.  Below order ``_SMALL_N`` a connected graph tries v0 = d + 1,
 then v1 = Q v0.  Otherwise one float run's iterate is rounded to integers >= 1
 at scale 2^30; failing that, the unclamped rounding (lower side only),
-then v0 and v1.  Else the answer is None.  A decision's bracket contains
-q: the deciding vector's extreme quotients rounded one ulp outward, or
-the float bracket where that agrees with the proof and contains them.
+then v0 and v1.  Else the answer is None.  ``_edge_bound_rungs`` climbs
+the first three rungs for a whole block of small graphs at once, against
+the edge bound.  A decision's bracket contains q: the deciding vector's
+extreme quotients rounded one ulp outward, or the float bracket where
+that agrees with the proof and contains them.
 Being exact, the deciders take no tolerance; their float run stops at
 ``DEFAULT_TOL``.
 
@@ -47,7 +49,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import Graph, _bits, components
+from .graphs import Graph, _POPCOUNT, _bits, components
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
@@ -275,6 +277,34 @@ def _exact_steps(g: Graph, num: int, den: int, strict: bool):
     return None, v, -math.inf, math.inf, 2
 
 
+def _edge_bound_rungs(rows: np.ndarray, n: int) -> np.ndarray:
+    """The batched form of the ladder above at the edge bound of
+    ``q_upper_bound_edges``.  Per graph of a ``(B, n)`` uint8 bit-row array
+    (2 <= n <= 8): the first exact rung that proves q <= P / (n - 1),
+    P = 2m + (n - 1)(n - 2), as an int8: 1, 2 or 3, and 0 when none does.
+
+    The rungs are those ``_decide`` tries on a connected graph below order
+    ``_SMALL_N``, in its order: 1, the degree rung (Q1 = 2d, so
+    2 max degree (n - 1) <= P); 2, v0 = d + 1; 3, v1 = Q v0.  Each tests
+    (n - 1)(Qv)_i <= P v_i in int32 on ``(B, n)`` arrays and sees only the
+    graphs the earlier ones left open.
+    """
+    deg = _POPCOUNT[rows].astype(np.int32)
+    p = deg.sum(axis=1) + (n - 1) * (n - 2)
+    rung = (2 * (n - 1) * deg.max(axis=1) <= p).astype(np.int8)
+    left = np.flatnonzero(rung == 0)
+    v = deg[left] + 1
+    for step in (2, 3):  # v0, then v1 = Q v0
+        sub = rows[left]
+        qv = deg[left] * v
+        for j in range(n):
+            qv += (sub >> j & 1) * v[:, j, None]
+        held = ((n - 1) * qv <= p[left, None] * v).all(axis=1)
+        rung[left[held]] = step
+        left, v = left[~held], qv[~held]
+    return rung
+
+
 def _rounded_proof(sub: Graph, vec, num: int, den: int, strict: bool, floor: float, a=None):
     """The integer test on the iterate ``vec`` of the connected ``sub``
     (float64 adjacency ``a``, built here when None), rounded to integers
@@ -369,10 +399,12 @@ def decide_q_ge(g: Graph, threshold: float) -> Tuple[Optional[bool], SpectralEst
 
 
 def decide_q_gt(g: Graph, threshold: float) -> Tuple[Optional[bool], SpectralEstimate]:
-    """Certified test of ``q(G) > threshold`` (used by the edge-bound sweep).
+    """Certified test of ``q(G) > threshold``.
 
-    Decided as ``decide_q_ge`` is, so an exact tie such as q(K_n) = 2n - 2
-    comes back False.
+    The edge-bound sweep calls it on the graphs its batched rungs leave
+    open, on its stride cross-checks and on every graph of order n <= 4,
+    and ``qconn verify --lemma 2.2`` on every graph it reads.  Decided as ``decide_q_ge`` is, so an exact
+    tie such as q(K_n) = 2n - 2 comes back False.
     """
     return _decide(g, threshold, True)
 

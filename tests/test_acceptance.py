@@ -233,7 +233,6 @@ def test_criterion_8_counterexample_campaign():
             f"{report.canonical_json() == replay.canonical_json()}", started)
 
 
-@pytest.mark.slow
 def test_criterion_9_edge_bound_sweep():
     started = time.time()
     config = CampaignConfig(mode="lemma22", n_min=2, n_max=7)

@@ -23,10 +23,10 @@ from qconn import (
     stream_corpus,
     write_graph6,
 )
-from qconn import harness
+from qconn import harness, spectral
 from qconn.cli import main
 from qconn.connectivity import density_parameter_failures, density_rhs, dirac_condition, is_k_connected_small
-from qconn.graphs import iter_labeled_graphs
+from qconn.graphs import _POPCOUNT, is_connected, iter_labeled_graphs
 from qconn.harness import CampaignError, CorpusError, RandomGraphError
 
 
@@ -140,6 +140,74 @@ def test_lemma22_bad_orders_exit_code(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def edge_bound_rung(g):
+    """The first rung that proves q <= (2m + (n-1)(n-2)) / (n-1) for the
+    connected g, in plain integers: 1 by the ones vector, 2 by v0 = d + 1,
+    3 by v1 = Q v0, and 0 when none does."""
+    n, degs = g.n, g.degrees()
+    p = 2 * g.m + (n - 1) * (n - 2)
+    if 2 * max(degs) * (n - 1) <= p:
+        return 1
+    v = [d + 1 for d in degs]
+    for rung in (2, 3):
+        qv = [degs[i] * v[i] + sum(v[j] for j in g.neighbors(i)) for i in range(n)]
+        if all((n - 1) * y <= p * x for y, x in zip(qv, v)):
+            return rung
+        v = qv
+    return 0
+
+
+def test_edge_bound_rungs_match_their_definition_and_decide_q_gt():
+    # every connected labeled graph with n <= 6: the batch settles each graph
+    # by the rung its definition names, and decide_q_gt answers False on each
+    settled = {0: 0, 1: 0, 2: 0, 3: 0}
+    for n in range(2, 7):
+        graphs = [g for g in iter_labeled_graphs(n) if is_connected(g)]
+        rows = np.array([g.rows for g in graphs], dtype=np.uint8)
+        got = spectral._edge_bound_rungs(rows, n)
+        for g, rung in zip(graphs, got.tolist()):
+            assert rung == edge_bound_rung(g), (n, g.rows)
+            settled[rung] += 1
+            if rung:
+                bound = harness.q_upper_bound_edges(g) + harness._LEMMA22_SLACK
+                assert harness.decide_q_gt(g, bound)[0] is False, (n, g.rows)
+    assert settled == {0: 0, 1: 9_712, 2: 12_165, 3: 5_598}
+
+
+def test_lemma22_scalar_crosschecks_batch_settled_graphs(monkeypatch):
+    # the batch settles every graph at n <= 6; the connected graphs of the
+    # orders n <= 4 and the connected stride masks still take the scalar
+    # decision, which agrees, so the bytes stay pinned
+    monkeypatch.setattr(harness, "_LEMMA22_STRIDE", 97)
+    crosschecked = [g for n in range(2, 7) for mask, g in enumerate(iter_labeled_graphs(n))
+                    if (n <= 4 or (mask + 1) % 97 == 0) and is_connected(g)]
+    verdicts = []
+    decide = harness.decide_q_gt
+
+    def spy(g, threshold):
+        result = decide(g, threshold)
+        verdicts.append((g, result[0]))
+        return result
+
+    monkeypatch.setattr(harness, "decide_q_gt", spy)
+    report = run_campaign(CampaignConfig(mode="lemma22", n_max=6))
+    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == LEMMA22_PINS[2].values[2]
+    assert verdicts == [(g, False) for g in crosschecked] and len(crosschecked) == 43 + 285
+    # a scalar verdict that contradicts the batch is recorded on each of them
+    monkeypatch.setattr(harness, "decide_q_gt", lambda g, threshold: (True, decide(g, threshold)[1]))
+    report = run_campaign(CampaignConfig(mode="lemma22", n_max=6))
+    assert (report.tested, report.failed) == (27_475, 328)
+    assert [parse_graph6(v["graph6"]) for v in report.violations] == crosschecked
+    # with rungs that settle nothing, every graph takes the scalar decision
+    # as a leftover, and the bytes are the same
+    verdicts.clear()
+    monkeypatch.setattr(harness, "decide_q_gt", spy)
+    monkeypatch.setattr(harness, "_edge_bound_rungs", lambda rows, n: np.zeros(len(rows), dtype=np.int8))
+    report = run_campaign(CampaignConfig(mode="lemma22", n_max=6))
+    assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == LEMMA22_PINS[2].values[2]
+    assert len(verdicts) == 27_475 and {v for _, v in verdicts} == {False}
+
+
 def test_lemma23_campaign_reduced_budget():
     # with at most 2 missing edges every admissible graph is 3-connected
     config = CampaignConfig(mode="lemma23", n=8, k=3, delta=3, complement_budget=2)
@@ -190,6 +258,23 @@ def test_lemma23_pins_hold_across_leading_pair_boundaries(monkeypatch, block, nk
     # skipped for low degree and so depends on which graphs are built, takes 997
     monkeypatch.setattr(harness, "_WORD_TABLE_MAX", 7)
     test_lemma23_canonical_json_pinned(monkeypatch, block, nkd, budget, workers, digest)
+
+
+@pytest.mark.parametrize("block,cap", [(1 << 16, None), (7, 7)], ids=["block-default", "block-7-cap-7"])
+def test_budget3_graphs_pinned(monkeypatch, block, cap):
+    # every K_8 minus at most 3 edges passes, so the budget-3 LEMMA23_PINS
+    # count graphs and cannot see which ones were built; this sha256 of the
+    # degree sequences, one byte per vertex in rank order, can
+    if cap is not None:
+        monkeypatch.setattr(harness, "_WORD_TABLE_MAX", cap)
+    full = np.bitwise_xor.reduce(harness._pair_words(8))
+    digest = hashlib.sha256()
+    for size in range(4):
+        total = math.comb(28, size)
+        for lo in range(0, total, block):
+            graphs = harness._complement_words(8, size, lo, min(lo + block, total)) ^ full
+            digest.update(_POPCOUNT[graphs.view(np.uint8)].tobytes())
+    assert digest.hexdigest() == "041c2f67b118ce8424a5ca30d09164f7356328ad64c474be04b087253c033410"
 
 
 @pytest.mark.parametrize("overrides", [
@@ -627,6 +712,7 @@ def test_undecided_cases_are_counted_as_undecided(tmp_path, monkeypatch):
     assert (report.tested, report.undecided, report.passed) == (2, 2, 0)
     assert report.details["outcomes"] == {"UNDECIDED_NUMERIC": 2}
 
+    # every connected graph of the orders n <= 4 takes the scalar decision
     monkeypatch.setattr(harness, "decide_q_gt", undecided)
     report = run_campaign(CampaignConfig(mode="lemma22", n_max=3))
     assert report.counters_consistent()
