@@ -554,18 +554,32 @@ def _reach_within(graphs: np.ndarray, seen: np.ndarray, allowed: int) -> np.ndar
 _ENUMERATION_MAX_N = 7
 # masks per numpy block: bounds the block arrays (about 350 KB at n = 7)
 _ENUMERATION_BLOCK = 1 << 11
+_HALF_MASK_BITS = 11  # pairs of the low half-mask table: 2,048 + 1,024 words at n = 7
+
+
+@functools.cache
+def _half_tables(n: int) -> Tuple[np.ndarray, ...]:
+    """The words of every mask over the low L = min(C(n,2), 11) pairs and
+    over the pairs above them, indexed by ``mask & (2^L - 1)``, ``mask >> L``."""
+    tables = []
+    for half in np.split(_pair_words(n), [_HALF_MASK_BITS]):
+        tables.append(np.zeros(1, dtype=np.uint64))
+        for word in half:
+            tables[-1] = np.concatenate([tables[-1], tables[-1] ^ word])
+    return tuple(map(_frozen, tables))
 
 
 def _labeled_block(n: int, lo: int, hi: int) -> Tuple[np.ndarray, np.ndarray]:
     """The bit-row words of edge masks ``lo..hi-1`` at order n <= 7 (bit e
-    of a mask is pair e of ``itertools.combinations(range(n), 2)``) and
-    whether each graph is connected, by the reach from vertex 0.  Callers
-    pass at most ``_ENUMERATION_BLOCK`` masks."""
-    pair_words = _pair_words(n)
-    masks = np.arange(lo, hi, dtype=np.uint64)
-    words = ((masks[:, None] >> np.arange(len(pair_words), dtype=np.uint64)) & np.uint64(1)) @ pair_words
+    of a mask is pair e of ``itertools.combinations(range(n), 2)``), the XOR
+    of its two ``_half_tables`` words, and whether each graph is connected,
+    by the reach from vertex 0 and its row.  Callers pass at most
+    ``_ENUMERATION_BLOCK`` masks."""
+    low, high = _half_tables(n)
+    masks = np.arange(lo, hi, dtype=np.int64)
+    words = low[masks & (len(low) - 1)] ^ high[masks >> _HALF_MASK_BITS]
     full = (1 << n) - 1
-    seen = np.full(len(words), full & -full, dtype=np.uint8)  # vertex 0, if any
+    seen = words.astype(np.uint8) | np.uint8(full & -full)  # vertex 0 and its row, if any
     return words, _reach_within(words, seen, full) == full
 
 
@@ -577,10 +591,11 @@ def iter_labeled_graphs(n: int, mask_range: Optional[Tuple[int, int]] = None) ->
     ``mask_range`` restricts the walk to a half-open mask interval so
     concurrent consumers can own disjoint chunks.  Each block of at most
     ``_ENUMERATION_BLOCK`` masks is built by ``_labeled_block`` as bit-row
-    words with their connectivity, and degrees come from a popcount table,
-    so every graph arrives with its degree tuple cached, and a connected
-    one with its single component.  An order outside [0, 7] or a range
-    outside [0, 2^C(n,2)] raises ``ValueError`` before any graph is yielded.
+    words from two cached half-mask tables, with their connectivity, and
+    degrees come from a popcount table, so every graph arrives with its
+    degree tuple cached, and a connected one with its single component.
+    An order outside [0, 7] or a range outside [0, 2^C(n,2)] raises
+    ``ValueError`` before any graph is yielded.
     """
     if not 0 <= n <= _ENUMERATION_MAX_N:
         raise ValueError(f"labeled enumeration covers 0 <= n <= {_ENUMERATION_MAX_N}, not n={n}")

@@ -345,6 +345,8 @@ def test_block_enumerator_matches_scalar_walk_small_orders():
     (7, 4095, 10241),     # across three block edges
     (7, (1 << 21) - 3000, 1 << 21),
     (7, 12345, 12345),    # empty range
+    (7, 5 * 2**11 - 7, 9 * 2**11 + 13),  # unaligned, across high half-table words 4 to 9
+    (5, 300, 1 << 10),    # C(5,2) = 10 < 11 pairs: a one-word high half-table
 ])
 def test_block_enumerator_matches_scalar_walk_on_slices(n, lo, hi):
     assert_matches_scalar_walk(n, lo, hi)

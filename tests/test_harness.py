@@ -185,6 +185,10 @@ def test_lemma22_scalar_crosschecks_batch_settled_graphs(monkeypatch):
     decide = harness.decide_q_gt
 
     def spy(g, threshold):
+        # the scalar path builds its graphs from the block's rows, with the
+        # degree tuple and the single component cached
+        assert g._degs == Graph.from_rows(g.rows).degrees()
+        assert g._comps == (tuple(range(g.n)),)
         result = decide(g, threshold)
         verdicts.append((g, result[0]))
         return result
