@@ -58,8 +58,6 @@ from .extremal import (
     FamilyMember,
     VertexPartition,
     build_A,
-    build_L,
-    build_M,
     classify_membership,
     enumerate_Eprime_orbits,
     family_members,

@@ -19,8 +19,6 @@ from . import certifier
 from .connectivity import brute_force_connectivity, vertex_connectivity
 from .extremal import (
     ExtremalParams,
-    build_L,
-    build_M,
     enumerate_Eprime_orbits,
     family_members,
     make_member,
@@ -152,26 +150,16 @@ def _check_order(n: int) -> None:
 
 def _cmd_construct(args) -> int:
     _check_order(args.n)
-    if args.family == "A":
-        if args.delta is None:
-            raise CampaignError("construct --family A needs --delta")
-        params = ExtremalParams(args.n, args.k, args.delta)
-        member = make_member(params, _parse_edge_spec(args.remove))
-        g = member.graph
-        payload = member.to_dict()
-        payload["graph6"] = write_graph6(g)
-        text = write_graph6(g)
-    elif args.family == "M":
-        g = build_M(args.n, args.k)
-        payload = {"graph6": write_graph6(g), "n": g.n, "m": g.m}
-        text = write_graph6(g)
-    else:
-        g = build_L(args.n, args.k)
-        payload = {"graph6": write_graph6(g), "n": g.n, "m": g.m}
-        text = write_graph6(g)
+    if args.delta is None:
+        raise CampaignError("construct --family A needs --delta")
+    params = ExtremalParams(args.n, args.k, args.delta)
+    member = make_member(params, _parse_edge_spec(args.remove))
+    text = write_graph6(member.graph)
+    payload = member.to_dict()
+    payload["graph6"] = text
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(write_graph6(g) + "\n")
+            fh.write(text + "\n")
     _emit(payload, args.json, text)
     return 0
 
@@ -299,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="explicit theorem parameter delta (default: largest usable)")
     p.set_defaults(fn=_cmd_certify)
 
-    p = sub.add_parser("construct", help="build A(n,k,delta)-E', M_k(n), or L_k(n)")
-    p.add_argument("--family", choices=("A", "M", "L"), required=True)
+    p = sub.add_parser("construct", help="build A(n,k,delta)-E'")
+    p.add_argument("--family", choices=("A",), required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=int, default=None)

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .graphs import Graph, _bits, complete, disjoint_union, empty, is_connected, join
+from .graphs import Graph, _bits, complete, disjoint_union, is_connected, join
 from .spectral import SpectralEstimate, q_index
 
 Edge = Tuple[int, int]
@@ -193,24 +193,6 @@ def build_A(params: ExtremalParams) -> Tuple[Graph, VertexPartition]:
         Z=tuple(range(p.y_size + p.x_size, p.n)),
     )
     return g, part
-
-
-def build_M(n: int, k: int) -> Graph:
-    """K_k v (K_{n-2k} u empty_k); needs k > 1 and n > 2k+1."""
-    if not k > 1:
-        raise ValueError(f"build_M needs k > 1, got k={k}")
-    if not n > 2 * k + 1:
-        raise ValueError(f"build_M needs n > 2k+1, got n={n}, k={k}")
-    return join(complete(k), disjoint_union(complete(n - 2 * k), empty(k)))
-
-
-def build_L(n: int, k: int) -> Graph:
-    """K_1 v (K_{n-k-1} u K_k); needs k >= 1 and n >= k+2."""
-    if not k >= 1:
-        raise ValueError(f"build_L needs k >= 1, got k={k}")
-    if not n >= k + 2:
-        raise ValueError(f"build_L needs n >= k+2, got n={n}, k={k}")
-    return join(complete(1), disjoint_union(complete(n - k - 1), complete(k)))
 
 
 def make_member(params: ExtremalParams, removed: Iterable[Edge]) -> FamilyMember:

@@ -536,16 +536,19 @@ def _reach_within(graphs: np.ndarray, seen: np.ndarray, allowed: int) -> np.ndar
 
     ``graphs`` holds one word per graph and ``seen`` one uint8 vertex set
     per graph.  One step ORs together the rows of the vertices seen so far;
-    the steps run until no graph of the batch gains a vertex.
+    the steps run until every graph of the batch has either gained no
+    vertex or reached all of ``allowed``, since neither can grow again, so
+    no step is spent confirming a batch that has already filled.
     """
+    full = np.uint8(allowed)
     while True:
         x = graphs & _SPREAD[seen]
         x |= x >> np.uint64(32)
         x |= x >> np.uint64(16)
         x |= x >> np.uint64(8)
-        grown = (x.astype(np.uint8) & np.uint8(allowed)) | seen
-        if np.array_equal(grown, seen):
-            return seen
+        grown = (x.astype(np.uint8) & full) | seen
+        if ((grown == seen) | (grown == full)).all():
+            return grown
         seen = grown
 
 

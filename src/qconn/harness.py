@@ -379,27 +379,34 @@ def _complement_words(n: int, size: int, lo: int, hi: int, whole: bool = True) -
 _BYTES = np.uint64(0x0101010101010101)  # one in every byte of a word
 
 
-def _bytes_below(x: np.ndarray, t: int, y: np.ndarray) -> np.ndarray:
-    """Per uint64 word of ``x``, in place (``y`` is scratch): bit 7 of byte v
-    set when byte v has fewer than ``t`` bits set (0 <= t <= 9), every other
-    bit clear.
-
-    The byte popcounts c come from the SWAR halving sums; then the byte
-    0x7F + t - c has bit 7 set exactly when c < t, and with c <= 8 no byte
-    borrows from the next.
-    """
+def _byte_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per uint64 word of ``x``, in place (``y`` is scratch): each byte
+    replaced by its popcount, by the SWAR halving sums."""
     x -= np.bitwise_and(np.right_shift(x, np.uint64(1), out=y), np.uint64(0x5555555555555555), out=y)
     x -= np.bitwise_and(np.right_shift(x, np.uint64(2), out=y), np.uint64(0x3333333333333333), out=y) * 3
     x += np.right_shift(x, np.uint64(4), out=y)
     x &= np.uint64(0x0F0F0F0F0F0F0F0F)
-    np.subtract(np.uint64(0x7F + t) * _BYTES, x, out=x)
-    return np.bitwise_and(x, np.uint64(0x8080808080808080), out=x)
+    return x
 
 
-def _min_degree_at_least(graphs: np.ndarray, n: int, t: int) -> np.ndarray:
-    """Per bit-row word (vertices ``0..n-1``, padding rows zero): is every
-    degree at least ``t``."""
-    return _bytes_below(graphs.copy(), t, np.empty_like(graphs)) & np.uint64((1 << 8 * n) - 1) == 0
+def _bytes_below(counts: np.ndarray, t: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per word of byte counts (each byte at most 8, as ``_byte_counts``
+    leaves them): bit 7 of byte v set when count v is below ``t``
+    (0 <= t <= 9), every other bit clear.  Written to ``out``, a new array
+    by default, so ``counts`` can be read again at another threshold.
+
+    The byte 0x7F + t - c has bit 7 set exactly when c < t, and with
+    c <= 8 no byte borrows from the next.
+    """
+    out = np.subtract(np.uint64(0x7F + t) * _BYTES, counts, out=out)
+    return np.bitwise_and(out, np.uint64(0x8080808080808080), out=out)
+
+
+def _min_degree_at_least(counts: np.ndarray, n: int, t: int) -> np.ndarray:
+    """Per word of ``_byte_counts`` of bit rows (vertices ``0..n-1``,
+    padding rows zero): is every degree at least ``t``.  Leaves ``counts``
+    as it was, so one count serves every threshold."""
+    return _bytes_below(counts, t) & np.uint64((1 << 8 * n) - 1) == 0
 
 
 def _common_neighbours_at_least(rows: np.ndarray, n: int, k: int) -> np.ndarray:
@@ -416,16 +423,18 @@ def _common_neighbours_at_least(rows: np.ndarray, n: int, k: int) -> np.ndarray:
     for u in range(n - 1):
         row = rows[:, u]
         later = np.uint8(((1 << n) - 1) & -(2 << u))  # vertices u+1 .. n-1
-        _bytes_below(np.bitwise_and(graphs, np.multiply(row, _BYTES, out=x), out=x), k, y)
+        np.bitwise_and(graphs, np.multiply(row, _BYTES, out=x), out=x)
+        _bytes_below(_byte_counts(x, y), k, out=x)
         short |= np.bitwise_and(x, np.take(_SPREAD, ~row & later, out=y), out=x)
     return short == 0
 
 
-def _k_connected_rows(rows: np.ndarray, n: int, k: int) -> np.ndarray:
+def _k_connected_rows(rows: np.ndarray, n: int, k: int, counts: np.ndarray) -> np.ndarray:
     """k-connectivity of each graph of a ``(B, 8)`` uint8 bit-row array
     (vertices ``0..n-1``, n <= 8, padding rows zero) whose minimum degree is
     at least k, so that n >= k + 1.  At k = 1 this is connectivity, for any
-    graph.
+    graph.  ``counts`` holds each graph's ``_byte_counts``, its degrees,
+    which the caller has already taken for its own degree filter.
 
     Exact rungs run first, each a proof for the graphs it settles, and each
     later rung sees only the graphs the earlier ones left open:
@@ -442,7 +451,7 @@ def _k_connected_rows(rows: np.ndarray, n: int, k: int) -> np.ndarray:
        from the lowest surviving vertex and its surviving neighbours.
     """
     # 2 delta >= n + k - 2, that is delta >= ceil((n + k - 2) / 2)
-    ok = _min_degree_at_least(rows.view(np.uint64).ravel(), n, (n + k - 1) // 2)
+    ok = _min_degree_at_least(counts, n, (n + k - 1) // 2)
     left = np.flatnonzero(~ok)
     if not len(left):
         return ok
@@ -469,10 +478,13 @@ def _lemma23_chunk(task: tuple) -> Report:
     density-condition sweep, in ``itertools.combinations`` order.
 
     The block is built by ``_complement_words``, filtered as numpy bit
-    rows, one uint8 per vertex, and counted as a block: the graphs of minimum degree below
-    delta are skipped, and the rest take the batched k-connectivity test,
-    whose exact Dirac and common-neighbour rungs (the second implied by the
-    Ore-type degree sum) settle most of them before any subset reach.  No
+    rows, one uint8 per vertex, and counted as a block.  Each word's bytes
+    are counted once, and both degree thresholds are read off those counts:
+    the graphs of minimum degree below delta are skipped, and the rest take
+    the batched k-connectivity test, whose exact Dirac and common-neighbour
+    rungs (the second implied by the Ore-type degree sum) settle most of
+    them before any subset reach.  When no graph is skipped the test reads
+    the block's own rows, not a copy.  No
     admitted graph is disconnected: one with minimum degree at least delta
     misses at least (delta+1)(n-delta-1) edges, more than any size
     ``_run_lemma23`` sweeps.  Graphs the batched test rejects, and every
@@ -488,8 +500,12 @@ def _lemma23_chunk(task: tuple) -> Report:
     part = Report(details={"enumerated": count, "exceptional": 0, "crosschecked": 0})
     graphs = _complement_words(n, size, lo, hi) ^ np.bitwise_xor.reduce(_pair_words(n))
     rows = graphs.view(np.uint8).reshape(count, 8)
-    kept = np.flatnonzero(_min_degree_at_least(graphs, n, delta))
-    kernel_ok = _k_connected_rows(rows[kept], n, k)
+    counts = _byte_counts(graphs.copy(), np.empty_like(graphs))
+    kept = np.flatnonzero(_min_degree_at_least(counts, n, delta))
+    if len(kept) == count:  # every graph admitted: the rungs read the block in place
+        kernel_ok = _k_connected_rows(rows, n, k, counts)
+    else:
+        kernel_ok = _k_connected_rows(rows[kept], n, k, counts[kept])
     scalar = ~kernel_ok | ((lo + kept + 1) % _LEMMA23_STRIDE == 0)  # 1-based position within the size
     part.skipped = count - len(kept)
     part.passed = len(kept) - int(scalar.sum())

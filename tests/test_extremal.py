@@ -7,8 +7,6 @@ from qconn import (
     ExtremalParams,
     brute_force_connectivity,
     build_A,
-    build_L,
-    build_M,
     classify_membership,
     complete,
     cycle,
@@ -117,21 +115,6 @@ def test_partition_degrees_assorted():
         for v in part.Z:
             assert g.degree(v) == n - d + k - 3
         assert not is_k_connected(g, k)[0]
-
-
-def test_build_M_L():
-    m27 = build_M(7, 2)
-    assert m27.n == 7 and m27.m == 14
-    assert m27 == join(complete(2), disjoint_union(complete(3), empty(2)))
-    l26 = build_L(6, 2)
-    assert l26.n == 6 and l26.m == 9
-    assert l26 == join(complete(1), disjoint_union(complete(3), complete(2)))
-    for (n, k) in [(7, 2), (10, 3), (12, 4)]:
-        assert min(build_M(n, k).degrees()) == k
-    with pytest.raises(ValueError):
-        build_M(5, 2)  # needs n > 2k+1
-    with pytest.raises(ValueError):
-        build_L(4, 3)  # needs n >= k+2
 
 
 # -- members -----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from qconn import (
     path,
     write_graph6,
 )
-from qconn.graphs import MAX_ORDER, count_labeled_graphs
+from qconn.graphs import MAX_ORDER, _bits, _reach_mask, _reach_within, count_labeled_graphs
 
 from conftest import random_graph_mask
 
@@ -350,6 +350,41 @@ def test_block_enumerator_matches_scalar_walk_small_orders():
 ])
 def test_block_enumerator_matches_scalar_walk_on_slices(n, lo, hi):
     assert_matches_scalar_walk(n, lo, hi)
+
+
+def _reach_batches():
+    """(graphs, seen, allowed) batches of bit-row graphs with n <= 8 and
+    seen inside allowed: every graph fills allowed at the first step; no
+    graph gains a vertex (two batches); a path that needs seven steps
+    beside graphs that settle at once; and seeded random batches."""
+    rng = np.random.default_rng(2325)
+
+    def batch(gs, seen, allowed):
+        rows = np.zeros((len(gs), 8), dtype=np.uint8)
+        for row, g in zip(rows, gs):
+            row[:g.n] = g.rows
+        return rows.view(np.uint64).ravel(), np.array(seen, dtype=np.uint8), allowed
+
+    yield batch([complete(8)] * 8, [1 << v for v in range(8)], 255)
+    yield batch([cycle(8)] * 4, [1, 1 << 2, 1 << 4, 1 << 6], 0b01010101)  # no two allowed adjacent
+    yield batch([empty(8)] * 4 + [complete(4)], [0, 1, 0b1010, 255, 0b1111], 255)
+    yield batch([path(8), complete(8), empty(8), cycle(8)], [1, 1, 1, 1 << 7], 255)
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        allowed = int(rng.integers(1, 1 << n))
+        gs = [random_graph_mask(n, rng, p) for p in rng.random(50)]
+        yield batch(gs, rng.integers(0, 256, len(gs)) & allowed, allowed)
+
+
+def test_reach_within_matches_scalar_reach():
+    for graphs, seen, allowed in _reach_batches():
+        got = _reach_within(graphs, seen.copy(), allowed)
+        rows = graphs.view(np.uint8).reshape(-1, 8).tolist()
+        want = [0] * len(rows)
+        for i, (row, start) in enumerate(zip(rows, seen.tolist())):
+            for v in _bits(start):
+                want[i] |= _reach_mask(row, v, allowed)
+        assert got.dtype == np.uint8 and got.tolist() == want, (allowed, seen.tolist())
 
 
 def test_enumeration_mask_range_partition():

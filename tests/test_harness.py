@@ -29,6 +29,8 @@ from qconn.connectivity import density_parameter_failures, density_rhs, dirac_co
 from qconn.graphs import _POPCOUNT, is_connected, iter_labeled_graphs
 from qconn.harness import CampaignError, CorpusError, RandomGraphError
 
+from conftest import random_graph_mask
+
 
 # -- random graphs ----------------------------------------------------------------
 
@@ -335,13 +337,16 @@ def test_lemma23_cut_graphs_must_be_extremal_members(monkeypatch):
 
 @pytest.mark.parametrize("nkd,budget", [((8, 3, 3), 5), ((7, 2, 2), None)])
 def test_lemma23_batch_tests_only_k_connectivity(monkeypatch, nkd, budget):
-    # no admitted graph is disconnected, so no connectivity pass runs
+    # no admitted graph is disconnected, so no connectivity pass runs; the
+    # byte counts the chunk hands over, after its own degree filter read
+    # them, are still the degrees of the rows, whole blocks and filtered ones
     seen = set()
     rows_test = harness._k_connected_rows
 
-    def spy(rows, n, k):
+    def spy(rows, n, k, counts):
         seen.add(k)
-        return rows_test(rows, n, k)
+        assert np.array_equal(counts, _POPCOUNT[rows].view(np.uint64).ravel())
+        return rows_test(rows, n, k, counts)
 
     monkeypatch.setattr(harness, "_k_connected_rows", spy)
     n, k, delta = nkd
@@ -417,6 +422,12 @@ def ladder_cases():
             yield n, k, rows[admissible], [graphs[i] for i in admissible]
 
 
+def _degree_counts(rows):
+    """Each graph's ``_byte_counts``, taken from a copy of its bit rows."""
+    graphs = rows.view(np.uint64).ravel()
+    return harness._byte_counts(graphs.copy(), np.empty_like(graphs))
+
+
 def common_neighbours_at_least(g, k):
     rows = g.rows
     return all(bin(rows[u] & rows[v]).count("1") >= k
@@ -426,7 +437,7 @@ def common_neighbours_at_least(g, k):
 def test_k_connected_rows_matches_subset_check():
     settled = {"dirac": 0, "shared": 0, "reach-yes": 0, "reach-no": 0}
     for n, k, rows, graphs in ladder_cases():
-        got = harness._k_connected_rows(rows, n, k)
+        got = harness._k_connected_rows(rows, n, k, _degree_counts(rows))
         want = [is_k_connected_small(g, k)[0] for g in graphs]
         assert got.tolist() == want, (n, k)
         for g, ok in zip(graphs, want):
@@ -449,11 +460,32 @@ def test_dirac_rung_matches_dirac_condition(monkeypatch):
     monkeypatch.setattr(harness, "_common_neighbours_at_least", spy)
     for n, k, rows, graphs in ladder_cases():
         opened.clear()
-        got = harness._k_connected_rows(rows, n, k)
+        got = harness._k_connected_rows(rows, n, k, _degree_counts(rows))
         assert got.tolist() == [is_k_connected_small(g, k)[0] for g in graphs], (n, k)
         dirac = np.array([dirac_condition(g, k) for g in graphs], dtype=bool)
         assert len(opened) == int(not dirac.all())
         assert np.array_equal(opened[0] if opened else rows[:0], rows[~dirac]), (n, k)
+
+
+def test_one_count_serves_the_degree_and_dirac_thresholds():
+    # the lemma23 chunk counts each word's bytes once, reads delta off the
+    # counts and then the Dirac threshold; every read must equal the read of
+    # a fresh count, and the minimum degree, whatever was read before it
+    rng = np.random.default_rng(2324)
+    for n in range(1, 9):
+        graphs = [random_graph_mask(n, rng, p) for p in rng.random(400)]
+        rows = np.zeros((len(graphs), 8), dtype=np.uint8)
+        rows[:, :n] = [g.rows for g in graphs]
+        mindeg = np.array([min(g.degrees()) for g in graphs])
+        counts = _degree_counts(rows)
+        for t in range(10):
+            fresh = harness._min_degree_at_least(_degree_counts(rows), n, t)
+            assert np.array_equal(harness._min_degree_at_least(counts, n, t), fresh), (n, t)
+            assert np.array_equal(fresh, mindeg >= t), (n, t)
+            for dirac in range(10):
+                got = harness._min_degree_at_least(counts, n, dirac)
+                assert np.array_equal(got, mindeg >= dirac), (n, t, dirac)
+        assert np.array_equal(counts, _POPCOUNT[rows].view(np.uint64).ravel()), n
 
 
 def test_common_neighbour_rung_matches_its_definition():
