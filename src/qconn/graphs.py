@@ -12,13 +12,15 @@ matrix, its degrees and, when a short search finds it connected, its
 single component, all read off the matrix; its bit rows are built from
 the matrix on first use, so a caller that only reads degrees,
 connectivity or the matrix never builds them.  Orders above
-``MAX_ORDER`` (16 MB of matrix) are refused.
+``MAX_ORDER`` (16 MB of matrix) are refused.  The sweeps' batched kernels,
+on one ``uint64`` word per graph of order at most 8, live here too.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
@@ -504,9 +506,9 @@ def _cached_lower_triangle(n: int) -> np.ndarray:
 # -- bit-row words --------------------------------------------------------
 #
 # A graph on n <= 8 vertices fits one uint64 whose byte v is the bit row of
-# vertex v.  The batched kernels (the labeled enumerator below, and the
-# edge-bound and density sweeps in ``harness``) hold one such word per graph
-# and share these read-only tables and the reach kernel.
+# vertex v.  Only this section reads that layout: the word tables, the byte
+# counts, the batched reach and rungs, and the blocks the labeled enumerator
+# and the sweeps test, which ``_block_graphs`` turns into graphs.
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -514,7 +516,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-_POPCOUNT = _frozen(np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8))
+_BYTES = np.uint64(0x0101010101010101)  # one in every byte of a word
 # byte v of _SPREAD[x] is 0xFF when bit v of x is set
 _SPREAD = _frozen((((np.arange(256)[:, None] >> np.arange(8)) & 1) * 0xFF)
                   .astype(np.uint8).view(np.uint64).ravel())
@@ -529,6 +531,56 @@ def _pair_words(n: int) -> np.ndarray:
     for e, (i, j) in enumerate(pairs):
         rows[e, i], rows[e, j] = 1 << j, 1 << i
     return _frozen(rows.view(np.uint64).ravel())
+
+
+def _byte_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per uint64 word of ``x``, in place (``y`` is scratch): each byte
+    replaced by its popcount, by the SWAR halving sums."""
+    x -= np.bitwise_and(np.right_shift(x, np.uint64(1), out=y), np.uint64(0x5555555555555555), out=y)
+    x -= np.bitwise_and(np.right_shift(x, np.uint64(2), out=y), np.uint64(0x3333333333333333), out=y) * 3
+    x += np.right_shift(x, np.uint64(4), out=y)
+    x &= np.uint64(0x0F0F0F0F0F0F0F0F)
+    return x
+
+
+def _bytes_below(counts: np.ndarray, t: int, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per word of byte counts (each byte at most 8, as ``_byte_counts``
+    leaves them): bit 7 of byte v set when count v is below ``t``
+    (0 <= t <= 9), every other bit clear.  Written to ``out``, a new array
+    by default, so ``counts`` can be read again at another threshold.
+
+    The byte 0x7F + t - c has bit 7 set exactly when c < t, and with
+    c <= 8 no byte borrows from the next.
+    """
+    out = np.subtract(np.uint64(0x7F + t) * _BYTES, counts, out=out)
+    return np.bitwise_and(out, np.uint64(0x8080808080808080), out=out)
+
+
+def _min_degree_at_least(counts: np.ndarray, n: int, t: int) -> np.ndarray:
+    """Per word of ``_byte_counts`` of bit rows (vertices ``0..n-1``,
+    padding rows zero): is every degree at least ``t``.  Leaves ``counts``
+    as it was, so one count serves every threshold."""
+    return _bytes_below(counts, t) & np.uint64((1 << 8 * n) - 1) == 0
+
+
+def _common_neighbours_at_least(rows: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Per graph of a ``(B, 8)`` bit-row array: does every non-adjacent
+    pair of ``0..n-1`` have at least k common neighbours.
+
+    One pass per vertex u: the word of the graph masked by row u holds in
+    byte v the common neighbours of u and v, and only the non-neighbours
+    v > u are read, so each pair counts once and adjacent pairs not at all.
+    """
+    graphs = rows.view(np.uint64).ravel()
+    short = np.zeros(len(graphs), dtype=np.uint64)
+    x, y = np.empty_like(graphs), np.empty_like(graphs)
+    for u in range(n - 1):
+        row = rows[:, u]
+        later = np.uint8(((1 << n) - 1) & -(2 << u))  # vertices u+1 .. n-1
+        np.bitwise_and(graphs, np.multiply(row, _BYTES, out=x), out=x)
+        _bytes_below(_byte_counts(x, y), k, out=x)
+        short |= np.bitwise_and(x, np.take(_SPREAD, ~row & later, out=y), out=x)
+    return short == 0
 
 
 def _reach_within(graphs: np.ndarray, seen: np.ndarray, allowed: int) -> np.ndarray:
@@ -550,6 +602,115 @@ def _reach_within(graphs: np.ndarray, seen: np.ndarray, allowed: int) -> np.ndar
         if ((grown == seen) | (grown == full)).all():
             return grown
         seen = grown
+
+
+def _k_connected_rows(rows: np.ndarray, n: int, k: int, counts: np.ndarray) -> np.ndarray:
+    """k-connectivity of each graph of a ``(B, 8)`` uint8 bit-row array
+    (vertices ``0..n-1``, n <= 8, padding rows zero) whose minimum degree is
+    at least k, so that n >= k + 1.  At k = 1 this is connectivity, for any
+    graph.  ``counts`` holds each graph's ``_byte_counts``, its degrees,
+    which the caller has already taken for its own degree filter.
+
+    Exact rungs run first, each a proof for the graphs it settles, and each
+    later rung sees only the graphs the earlier ones left open:
+
+    1. Dirac: 2 delta >= n + k - 2 makes G k-connected.
+    2. Common neighbours: every non-adjacent pair with at least k of them
+       makes G k-connected, since a separator of fewer than k vertices
+       would hold every common neighbour of two vertices it separates.
+       The Ore-type degree sum deg u + deg v >= n + k - 2 on non-adjacent
+       pairs implies it (such a pair shares at least k neighbours), as
+       does Dirac, so it settles every graph those would, and more.
+    3. The subset reach: G is k-connected iff G - S is connected for every
+       (k-1)-subset S, as in ``is_k_connected_small``.  Each reach starts
+       from the lowest surviving vertex and its surviving neighbours.
+    """
+    # 2 delta >= n + k - 2, that is delta >= ceil((n + k - 2) / 2)
+    ok = _min_degree_at_least(counts, n, (n + k - 1) // 2)
+    left = np.flatnonzero(~ok)
+    if not len(left):
+        return ok
+    shared = _common_neighbours_at_least(rows[left], n, k)
+    ok[left] = shared
+    left = left[~shared]
+    if not len(left):
+        return ok
+    rest = rows[left]
+    graphs = rest.view(np.uint64).ravel()
+    full = (1 << n) - 1
+    reached = np.ones(len(left), dtype=bool)
+    for sub in itertools.combinations(range(n), k - 1):
+        allowed = full & ~sum(1 << v for v in sub)
+        v = (allowed & -allowed).bit_length() - 1
+        start = (rest[:, v] | np.uint8(1 << v)) & np.uint8(allowed)
+        reached &= _reach_within(graphs, start, allowed) == allowed
+    ok[left] = reached
+    return ok
+
+
+def _rows_and_degrees(words: np.ndarray, n: int) -> Tuple[np.ndarray, ...]:
+    """The ``(B, n)`` bit rows of the words and their ``_byte_counts`` degrees."""
+    counts = _byte_counts(words.copy(), np.empty_like(words))
+    return tuple(w.view(np.uint8).reshape(-1, 8)[:, :n] for w in (words, counts))
+
+
+def _block_graphs(rows: np.ndarray, degs: np.ndarray, connected: Iterable[bool]) -> Iterator[Graph]:
+    """The graphs of a block's ``(B, n)`` bit rows, each with its row of
+    ``degs`` cached and, where ``connected`` says so, its single component."""
+    spanning = (tuple(range(rows.shape[1])),) if rows.shape[1] else ()
+    for row, deg, conn in zip(rows.tolist(), degs.tolist(), connected):
+        g = Graph.from_rows(row, validate=False)
+        g._degs = tuple(deg)
+        g._comps = spanning if conn else None
+        yield g
+
+
+# complement-word lists kept whole up to this length: at n = 8 sizes 0..7, 13.5 MB
+_WORD_TABLE_MAX = 1 << 21
+
+
+@functools.cache
+def _word_table(n: int, size: int) -> np.ndarray:
+    """Every size-``size`` complement word at order n, read-only."""
+    return _frozen(_complement_words(n, size, 0, math.comb(n * (n - 1) // 2, size), whole=False))
+
+
+def _complement_words(n: int, size: int, lo: int, hi: int, whole: bool = True) -> np.ndarray:
+    """Ranks ``lo..hi-1`` of ``itertools.combinations(range(npairs), size)``
+    as uint64 words, each the XOR of its pairs' ``_pair_words(n)``.  The
+    subsets led by pair c join it to a suffix of the size - 1 list, so an
+    interval splits on its leading pairs into slices of that list:
+    W_s = concat over c of (pair[c] ^ W_{s-1}[C(N, s-1) - C(N-1-c, s-1):]).
+    Lists of at most ``_WORD_TABLE_MAX`` words give read-only table views.
+    """
+    pairs = _pair_words(n)
+    npairs = len(pairs)
+    total = math.comb(npairs, size)
+    if whole and total <= _WORD_TABLE_MAX:
+        return _word_table(n, size)[lo:hi]
+    out = np.zeros(hi - lo, dtype=np.uint64)  # at size 0, the empty subset's word
+    for c in range(npairs - size + 1) if size else ():
+        start, stop = total - math.comb(npairs - c, size), total - math.comb(npairs - 1 - c, size)
+        if lo < stop and start < hi:
+            shift = math.comb(npairs, size - 1) - math.comb(npairs - 1 - c, size - 1) - start
+            a, b = max(lo, start), min(hi, stop)
+            out[a - lo:b - lo] = _complement_words(n, size - 1, a + shift, b + shift) ^ pairs[c]
+    return out
+
+
+def _density_block(n: int, k: int, delta: int, size: int, lo: int, hi: int) -> Tuple[np.ndarray, ...]:
+    """K_n minus each size-``size`` complement subset of ranks ``lo..hi-1``:
+    the positions of the graphs of minimum degree at least ``delta``, the
+    ``_k_connected_rows`` verdict of each, and the block's ``(hi - lo, n)``
+    rows and degrees.  One byte count per word serves both degree thresholds,
+    and with every graph admitted the rungs read the block in place."""
+    words = _complement_words(n, size, lo, hi) ^ np.bitwise_xor.reduce(_pair_words(n))
+    rows = words.view(np.uint8).reshape(-1, 8)
+    counts = _byte_counts(words.copy(), np.empty_like(words))
+    kept = np.flatnonzero(_min_degree_at_least(counts, n, delta))
+    whole = len(kept) == len(words)
+    ok = _k_connected_rows(rows if whole else rows[kept], n, k, counts if whole else counts[kept])
+    return kept, ok, rows[:, :n], counts.view(np.uint8).reshape(-1, 8)[:, :n]
 
 
 # -- labeled enumeration -------------------------------------------------
@@ -592,13 +753,11 @@ def iter_labeled_graphs(n: int, mask_range: Optional[Tuple[int, int]] = None) ->
     Walks all 2^C(n,2) edge masks in increasing order, bit e of a mask
     standing for pair e of ``itertools.combinations(range(n), 2)``;
     ``mask_range`` restricts the walk to a half-open mask interval so
-    concurrent consumers can own disjoint chunks.  Each block of at most
-    ``_ENUMERATION_BLOCK`` masks is built by ``_labeled_block`` as bit-row
-    words from two cached half-mask tables, with their connectivity, and
-    degrees come from a popcount table, so every graph arrives with its
-    degree tuple cached, and a connected one with its single component.
-    An order outside [0, 7] or a range outside [0, 2^C(n,2)] raises
-    ``ValueError`` before any graph is yielded.
+    concurrent consumers can own disjoint chunks.  ``_block_graphs`` builds
+    each ``_labeled_block`` of at most ``_ENUMERATION_BLOCK`` masks, so every
+    graph arrives with its ``_byte_counts`` degrees cached, and a connected
+    one with its single component.  An order outside [0, 7] or a range
+    outside [0, 2^C(n,2)] raises ``ValueError`` before any graph is yielded.
     """
     if not 0 <= n <= _ENUMERATION_MAX_N:
         raise ValueError(f"labeled enumeration covers 0 <= n <= {_ENUMERATION_MAX_N}, not n={n}")
@@ -606,16 +765,9 @@ def iter_labeled_graphs(n: int, mask_range: Optional[Tuple[int, int]] = None) ->
     lo, hi = (0, total) if mask_range is None else mask_range
     if not 0 <= lo <= hi <= total:
         raise ValueError(f"mask range [{lo}, {hi}) outside [0, {total}] for n={n}")
-    spanning = (tuple(range(n)),) if n else ()
     for start in range(lo, hi, _ENUMERATION_BLOCK):
         words, connected = _labeled_block(n, start, min(start + _ENUMERATION_BLOCK, hi))
-        rows = words.view(np.uint8).reshape(-1, 8)[:, :n]
-        for row, degs, conn in zip(rows.tolist(), _POPCOUNT[rows].tolist(), connected.tolist()):
-            g = Graph.from_rows(row, validate=False)
-            g._degs = tuple(degs)
-            if conn:
-                g._comps = spanning
-            yield g
+        yield from _block_graphs(*_rows_and_degrees(words, n), connected.tolist())
 
 
 def count_labeled_graphs(n: int) -> int:

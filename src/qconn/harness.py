@@ -7,11 +7,11 @@ config produce byte-identical reports apart from the timing block.
 
 Violations always carry the offending graph in graph6 form so they can be
 replayed through the ``certify-one`` mode (or the CLI ``certify`` verb).
+The sweeps' batched kernels live in ``qconn.graphs``; only their policy is here.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -25,13 +25,7 @@ import numpy as np
 
 from . import certifier
 from .connectivity import density_parameter_failures, density_rhs, is_k_connected, is_k_connected_small
-from .extremal import (
-    ExtremalParams,
-    build_A,
-    classify_membership,
-    family_members,
-    q_threshold,
-)
+from .extremal import ExtremalParams, classify_membership, family_members
 from .graphs import (
     MAX_ORDER,
     Graph,
@@ -44,12 +38,11 @@ from .graphs import (
     write_graph6,
     _ENUMERATION_BLOCK,
     _ENUMERATION_MAX_N,
-    _SPREAD,
-    _frozen,
+    _block_graphs,
+    _density_block,
     _graph_from_bool,
     _labeled_block,
-    _pair_words,
-    _reach_within,
+    _rows_and_degrees,
 )
 from .spectral import _edge_bound_rungs, decide_q_gt, q_upper_bound_edges
 
@@ -273,36 +266,31 @@ def _lemma22_chunk(task: tuple) -> Report:
     """Edge masks ``lo..hi-1`` of the edge-bound sweep at order n, in mask
     order, built in blocks of ``_ENUMERATION_BLOCK`` masks.
 
-    Each block's bit-row words and connectivity come from
-    ``_labeled_block``, and ``spectral._edge_bound_rungs`` settles its
-    connected graphs together by exact rungs (2 max degree, then v0 = d + 1,
-    then v1 = Q v0), each proving q <= B = (2m + (n - 1)(n - 2)) / (n - 1).
-    That B is at most the float bound plus ``_LEMMA22_SLACK``: the float
-    bound rounds B by a few ulps, far below the slack.  So every inequality
-    a rung proves at B holds strictly at the scalar threshold, where
-    ``decide_q_gt`` tries the same vectors in the same order, and answers
-    False on every graph the batch settles.  Graphs no rung settles, every
-    ``_LEMMA22_STRIDE``-th mask however the batch settled it, and every
-    graph of an order up to ``_LEMMA22_SCALAR_N`` take that scalar decision
-    in mask order on a graph built from the block's rows, one ``record``
-    each, so violations come from the scalar path only and the report's
-    bytes are those of a per-graph sweep.
+    ``spectral._edge_bound_rungs`` settles the connected graphs of each
+    ``_labeled_block`` by exact rungs (2 max degree, v0 = d + 1, v1 = Q v0),
+    each proving q <= B = (2m + (n - 1)(n - 2)) / (n - 1), which is at most
+    the float bound plus ``_LEMMA22_SLACK`` (the float bound rounds B by a
+    few ulps).  So every inequality a rung proves at B holds strictly at the
+    scalar threshold, where ``decide_q_gt`` tries the same vectors in the
+    same order, and answers False on every graph the batch settles.  Graphs
+    no rung settles, every ``_LEMMA22_STRIDE``-th mask however the batch
+    settled it, and every graph of an order up to ``_LEMMA22_SCALAR_N``
+    take that scalar decision in mask order, one ``record`` each, so
+    violations come from the scalar path only and the report's bytes are
+    those of a per-graph sweep.
     """
     n, lo, hi = task
     part = Report(details={"enumerated": hi - lo})
     for start in range(lo, hi, _ENUMERATION_BLOCK):
         words, connected = _labeled_block(n, start, min(start + _ENUMERATION_BLOCK, hi))
         kept = np.flatnonzero(connected)
-        rows = words[kept].view(np.uint8).reshape(-1, 8)[:, :n]
-        rung = _edge_bound_rungs(rows, n)
+        rows, degs = _rows_and_degrees(words[kept], n)
+        rung = _edge_bound_rungs(rows, degs, n)
         scalar = (rung == 0) | ((start + kept + 1) % _LEMMA22_STRIDE == 0) | (n <= _LEMMA22_SCALAR_N)
         settled = len(kept) - int(scalar.sum())
         part.passed += settled
         part.tested += settled
-        for row in rows[scalar].tolist():
-            g = Graph.from_rows(row, validate=False)
-            g._degs = tuple(r.bit_count() for r in row)
-            g._comps = (tuple(range(n)),)
+        for g in _block_graphs(rows[scalar], degs[scalar], itertools.repeat(True)):  # all connected
             bound = q_upper_bound_edges(g)
             verdict, est = decide_q_gt(g, bound + _LEMMA22_SLACK)
             if verdict is False:
@@ -343,175 +331,34 @@ def _run_lemma22(config: CampaignConfig, report: Report) -> None:
 _LEMMA23_BLOCK = 1 << 16
 # every this-many-th graph of a complement size takes the scalar checks too
 _LEMMA23_STRIDE = 100_000
-# complement-word lists kept whole up to this length: at n = 8 sizes 0..7, 13.5 MB
-_WORD_TABLE_MAX = 1 << 21
-
-
-@functools.cache
-def _word_table(n: int, size: int) -> np.ndarray:
-    """Every size-``size`` complement word at order n, read-only."""
-    return _frozen(_complement_words(n, size, 0, math.comb(n * (n - 1) // 2, size), whole=False))
-
-
-def _complement_words(n: int, size: int, lo: int, hi: int, whole: bool = True) -> np.ndarray:
-    """Ranks ``lo..hi-1`` of ``itertools.combinations(range(npairs), size)``
-    as uint64 words, each the XOR of its pairs' ``_pair_words(n)``.  The
-    subsets led by pair c join it to a suffix of the size - 1 list, so an
-    interval splits on its leading pairs into slices of that list:
-    W_s = concat over c of (pair[c] ^ W_{s-1}[C(N, s-1) - C(N-1-c, s-1):]).
-    Lists of at most ``_WORD_TABLE_MAX`` words give read-only table views.
-    """
-    pairs = _pair_words(n)
-    npairs = len(pairs)
-    total = math.comb(npairs, size)
-    if whole and total <= _WORD_TABLE_MAX:
-        return _word_table(n, size)[lo:hi]
-    out = np.zeros(hi - lo, dtype=np.uint64)  # at size 0, the empty subset's word
-    for c in range(npairs - size + 1) if size else ():
-        start, stop = total - math.comb(npairs - c, size), total - math.comb(npairs - 1 - c, size)
-        if lo < stop and start < hi:
-            shift = math.comb(npairs, size - 1) - math.comb(npairs - 1 - c, size - 1) - start
-            a, b = max(lo, start), min(hi, stop)
-            out[a - lo:b - lo] = _complement_words(n, size - 1, a + shift, b + shift) ^ pairs[c]
-    return out
-
-
-_BYTES = np.uint64(0x0101010101010101)  # one in every byte of a word
-
-
-def _byte_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per uint64 word of ``x``, in place (``y`` is scratch): each byte
-    replaced by its popcount, by the SWAR halving sums."""
-    x -= np.bitwise_and(np.right_shift(x, np.uint64(1), out=y), np.uint64(0x5555555555555555), out=y)
-    x -= np.bitwise_and(np.right_shift(x, np.uint64(2), out=y), np.uint64(0x3333333333333333), out=y) * 3
-    x += np.right_shift(x, np.uint64(4), out=y)
-    x &= np.uint64(0x0F0F0F0F0F0F0F0F)
-    return x
-
-
-def _bytes_below(counts: np.ndarray, t: int, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per word of byte counts (each byte at most 8, as ``_byte_counts``
-    leaves them): bit 7 of byte v set when count v is below ``t``
-    (0 <= t <= 9), every other bit clear.  Written to ``out``, a new array
-    by default, so ``counts`` can be read again at another threshold.
-
-    The byte 0x7F + t - c has bit 7 set exactly when c < t, and with
-    c <= 8 no byte borrows from the next.
-    """
-    out = np.subtract(np.uint64(0x7F + t) * _BYTES, counts, out=out)
-    return np.bitwise_and(out, np.uint64(0x8080808080808080), out=out)
-
-
-def _min_degree_at_least(counts: np.ndarray, n: int, t: int) -> np.ndarray:
-    """Per word of ``_byte_counts`` of bit rows (vertices ``0..n-1``,
-    padding rows zero): is every degree at least ``t``.  Leaves ``counts``
-    as it was, so one count serves every threshold."""
-    return _bytes_below(counts, t) & np.uint64((1 << 8 * n) - 1) == 0
-
-
-def _common_neighbours_at_least(rows: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Per graph of a ``(B, 8)`` bit-row array: does every non-adjacent
-    pair of ``0..n-1`` have at least k common neighbours.
-
-    One pass per vertex u: the word of the graph masked by row u holds in
-    byte v the common neighbours of u and v, and only the non-neighbours
-    v > u are read, so each pair counts once and adjacent pairs not at all.
-    """
-    graphs = rows.view(np.uint64).ravel()
-    short = np.zeros(len(graphs), dtype=np.uint64)
-    x, y = np.empty_like(graphs), np.empty_like(graphs)
-    for u in range(n - 1):
-        row = rows[:, u]
-        later = np.uint8(((1 << n) - 1) & -(2 << u))  # vertices u+1 .. n-1
-        np.bitwise_and(graphs, np.multiply(row, _BYTES, out=x), out=x)
-        _bytes_below(_byte_counts(x, y), k, out=x)
-        short |= np.bitwise_and(x, np.take(_SPREAD, ~row & later, out=y), out=x)
-    return short == 0
-
-
-def _k_connected_rows(rows: np.ndarray, n: int, k: int, counts: np.ndarray) -> np.ndarray:
-    """k-connectivity of each graph of a ``(B, 8)`` uint8 bit-row array
-    (vertices ``0..n-1``, n <= 8, padding rows zero) whose minimum degree is
-    at least k, so that n >= k + 1.  At k = 1 this is connectivity, for any
-    graph.  ``counts`` holds each graph's ``_byte_counts``, its degrees,
-    which the caller has already taken for its own degree filter.
-
-    Exact rungs run first, each a proof for the graphs it settles, and each
-    later rung sees only the graphs the earlier ones left open:
-
-    1. Dirac: 2 delta >= n + k - 2 makes G k-connected.
-    2. Common neighbours: every non-adjacent pair with at least k of them
-       makes G k-connected, since a separator of fewer than k vertices
-       would hold every common neighbour of two vertices it separates.
-       The Ore-type degree sum deg u + deg v >= n + k - 2 on non-adjacent
-       pairs implies it (such a pair shares at least k neighbours), as
-       does Dirac, so it settles every graph those would, and more.
-    3. The subset reach: G is k-connected iff G - S is connected for every
-       (k-1)-subset S, as in ``is_k_connected_small``.  Each reach starts
-       from the lowest surviving vertex and its surviving neighbours.
-    """
-    # 2 delta >= n + k - 2, that is delta >= ceil((n + k - 2) / 2)
-    ok = _min_degree_at_least(counts, n, (n + k - 1) // 2)
-    left = np.flatnonzero(~ok)
-    if not len(left):
-        return ok
-    shared = _common_neighbours_at_least(rows[left], n, k)
-    ok[left] = shared
-    left = left[~shared]
-    if not len(left):
-        return ok
-    rest = rows[left]
-    graphs = rest.view(np.uint64).ravel()
-    full = (1 << n) - 1
-    reached = np.ones(len(left), dtype=bool)
-    for sub in itertools.combinations(range(n), k - 1):
-        allowed = full & ~sum(1 << v for v in sub)
-        v = (allowed & -allowed).bit_length() - 1
-        start = (rest[:, v] | np.uint8(1 << v)) & np.uint8(allowed)
-        reached &= _reach_within(graphs, start, allowed) == allowed
-    ok[left] = reached
-    return ok
 
 
 def _lemma23_chunk(task: tuple) -> Report:
     """Ranks ``lo..hi-1`` of the complement subsets of one size in the
     density-condition sweep, in ``itertools.combinations`` order.
 
-    The block is built by ``_complement_words``, filtered as numpy bit
-    rows, one uint8 per vertex, and counted as a block.  Each word's bytes
-    are counted once, and both degree thresholds are read off those counts:
-    the graphs of minimum degree below delta are skipped, and the rest take
-    the batched k-connectivity test, whose exact Dirac and common-neighbour
-    rungs (the second implied by the Ore-type degree sum) settle most of
-    them before any subset reach.  When no graph is skipped the test reads
-    the block's own rows, not a copy.  No
+    ``graphs._density_block`` skips the graphs of minimum degree below
+    delta and settles the rest by the batched k-connectivity test.  No
     admitted graph is disconnected: one with minimum degree at least delta
     misses at least (delta+1)(n-delta-1) edges, more than any size
-    ``_run_lemma23`` sweeps.  Graphs the batched test rejects, and every
+    ``_run_lemma23`` sweeps.  Graphs the batch rejects, and every
     ``_LEMMA23_STRIDE``-th graph of the size however the batch settled it,
     take the scalar path in rank order, one ``record`` each: the batch,
     ``is_k_connected_small`` and max flow must agree, and a graph that is
     not k-connected must be a member of the extremal construction.
     """
     n, k, delta, size, lo, hi = task
-    npairs = n * (n - 1) // 2
-    m = npairs - size
+    m = n * (n - 1) // 2 - size
     count = hi - lo
     part = Report(details={"enumerated": count, "exceptional": 0, "crosschecked": 0})
-    graphs = _complement_words(n, size, lo, hi) ^ np.bitwise_xor.reduce(_pair_words(n))
-    rows = graphs.view(np.uint8).reshape(count, 8)
-    counts = _byte_counts(graphs.copy(), np.empty_like(graphs))
-    kept = np.flatnonzero(_min_degree_at_least(counts, n, delta))
-    if len(kept) == count:  # every graph admitted: the rungs read the block in place
-        kernel_ok = _k_connected_rows(rows, n, k, counts)
-    else:
-        kernel_ok = _k_connected_rows(rows[kept], n, k, counts[kept])
+    kept, kernel_ok, rows, degs = _density_block(n, k, delta, size, lo, hi)
     scalar = ~kernel_ok | ((lo + kept + 1) % _LEMMA23_STRIDE == 0)  # 1-based position within the size
     part.skipped = count - len(kept)
     part.passed = len(kept) - int(scalar.sum())
     part.tested = part.skipped + part.passed
-    for idx, batch_ok in zip(kept[scalar].tolist(), kernel_ok[scalar].tolist()):
-        g = Graph.from_rows(rows[idx, :n].tolist(), validate=False)
+    picked = kept[scalar]
+    for g, batch_ok in zip(_block_graphs(rows[picked], degs[picked], itertools.repeat(False)),
+                           kernel_ok[scalar].tolist()):
         subset_ok, _ = is_k_connected_small(g, k)
         flow_ok, _ = is_k_connected(g, k)
         part.details["crosschecked"] += 1

@@ -29,9 +29,10 @@ then v1 = Q v0.  Otherwise one float run's iterate is rounded to integers >= 1
 at scale 2^30; failing that, the unclamped rounding (lower side only),
 then v0 and v1.  Else the answer is None.  ``_edge_bound_rungs`` climbs
 the first three rungs for a whole block of small graphs at once, against
-the edge bound.  A decision's bracket contains q: the deciding vector's
-extreme quotients rounded one ulp outward, or the float bracket where
-that agrees with the proof and contains them.
+the edge bound, from the rows and degrees ``graphs._rows_and_degrees``
+reads off the block's words.  A decision's bracket contains q: the
+deciding vector's extreme quotients rounded one ulp outward, or the float
+bracket where that agrees with the proof and contains them.
 Being exact, the deciders take no tolerance; their float run stops at
 ``DEFAULT_TOL``.
 
@@ -49,7 +50,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import Graph, _POPCOUNT, _bits, components
+from .graphs import Graph, _bits, components
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 100_000
@@ -277,10 +278,10 @@ def _exact_steps(g: Graph, num: int, den: int, strict: bool):
     return None, v, -math.inf, math.inf, 2
 
 
-def _edge_bound_rungs(rows: np.ndarray, n: int) -> np.ndarray:
+def _edge_bound_rungs(rows: np.ndarray, degs: np.ndarray, n: int) -> np.ndarray:
     """The batched form of the ladder above at the edge bound of
-    ``q_upper_bound_edges``.  Per graph of a ``(B, n)`` uint8 bit-row array
-    (2 <= n <= 8): the first exact rung that proves q <= P / (n - 1),
+    ``q_upper_bound_edges``.  Per graph of ``(B, n)`` integer bit rows and
+    degrees (2 <= n): the first exact rung that proves q <= P / (n - 1),
     P = 2m + (n - 1)(n - 2), as an int8: 1, 2 or 3, and 0 when none does.
 
     The rungs are those ``_decide`` tries on a connected graph below order
@@ -289,7 +290,7 @@ def _edge_bound_rungs(rows: np.ndarray, n: int) -> np.ndarray:
     (n - 1)(Qv)_i <= P v_i in int32 on ``(B, n)`` arrays and sees only the
     graphs the earlier ones left open.
     """
-    deg = _POPCOUNT[rows].astype(np.int32)
+    deg = degs.astype(np.int32)
     p = deg.sum(axis=1) + (n - 1) * (n - 2)
     rung = (2 * (n - 1) * deg.max(axis=1) <= p).astype(np.int8)
     left = np.flatnonzero(rung == 0)

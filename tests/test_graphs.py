@@ -1,9 +1,12 @@
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qconn.graphs
 from qconn import (
     Graph,
     Graph6Error,
@@ -394,3 +397,32 @@ def test_enumeration_mask_range_partition():
     assert len(first) + len(second) == total
     everything = list(iter_labeled_graphs(4))
     assert first + second == everything
+
+
+# the private slots behind a Graph's rows and cached facts
+GRAPH_SLOTS = {"_rows", "_degs", "_comps", "_np_adj", "_np_deg"}
+
+
+def test_only_graphs_writes_graph_private_slots():
+    # a graph's cached facts are written where they are computed, in
+    # qconn.graphs; any other module builds graphs through its constructors
+    assert set(Graph.__slots__) == GRAPH_SLOTS | {"n"}
+    modules = sorted(Path(qconn.graphs.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    writes = []
+    for path in modules:
+        if path.name == "graphs.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
+                targets = [ast.Attribute(attr=arg.value, lineno=node.lineno) for arg in node.args[1:2]
+                           if isinstance(arg, ast.Constant)]
+            else:
+                continue
+            writes += [f"{path.name}:{t.lineno} {t.attr}" for target in targets
+                       for t in ast.walk(target) if isinstance(t, ast.Attribute) and t.attr in GRAPH_SLOTS]
+    assert writes == []

@@ -23,13 +23,16 @@ from qconn import (
     stream_corpus,
     write_graph6,
 )
-from qconn import harness, spectral
+from qconn import graphs as qgraphs, harness, spectral
 from qconn.cli import main
 from qconn.connectivity import density_parameter_failures, density_rhs, dirac_condition, is_k_connected_small
-from qconn.graphs import _POPCOUNT, is_connected, iter_labeled_graphs
+from qconn.graphs import is_connected, iter_labeled_graphs
 from qconn.harness import CampaignError, CorpusError, RandomGraphError
 
 from conftest import random_graph_mask
+
+# the degree of each byte value, a reference apart from the kernels under test
+_POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
 
 
 # -- random graphs ----------------------------------------------------------------
@@ -166,7 +169,7 @@ def test_edge_bound_rungs_match_their_definition_and_decide_q_gt():
     for n in range(2, 7):
         graphs = [g for g in iter_labeled_graphs(n) if is_connected(g)]
         rows = np.array([g.rows for g in graphs], dtype=np.uint8)
-        got = spectral._edge_bound_rungs(rows, n)
+        got = spectral._edge_bound_rungs(rows, np.array([g.degrees() for g in graphs]), n)
         for g, rung in zip(graphs, got.tolist()):
             assert rung == edge_bound_rung(g), (n, g.rows)
             settled[rung] += 1
@@ -208,7 +211,7 @@ def test_lemma22_scalar_crosschecks_batch_settled_graphs(monkeypatch):
     # as a leftover, and the bytes are the same
     verdicts.clear()
     monkeypatch.setattr(harness, "decide_q_gt", spy)
-    monkeypatch.setattr(harness, "_edge_bound_rungs", lambda rows, n: np.zeros(len(rows), dtype=np.int8))
+    monkeypatch.setattr(harness, "_edge_bound_rungs", lambda rows, degs, n: np.zeros(len(rows), dtype=np.int8))
     report = run_campaign(CampaignConfig(mode="lemma22", n_max=6))
     assert hashlib.sha256(report.canonical_json().encode()).hexdigest() == LEMMA22_PINS[2].values[2]
     assert len(verdicts) == 27_475 and {v for _, v in verdicts} == {False}
@@ -240,6 +243,10 @@ LEMMA23_PINS = [
     # 401,930 graphs: 105 exceptional, 3 stride cross-checks
     pytest.param((7, 2, 2), None, 1, "726dd58f75c70501f4a66502abae593a926df34afa09c955bad1de6bbfb1e715",
                  id="n7-k2-d2-w1"),
+    # 11,698,223 graphs: 89,328 skipped, 112 stride cross-checks, none exceptional;
+    # the k = 2 subset reach at n = 8 over many rank intervals
+    pytest.param((8, 2, 2), 9, 1, "c3e65938f10b1e2d7c2332e2fcc25bd965a745500ceca2108ddf2e56c104e048",
+                 id="n8-k2-d2-budget9-w1"),
 ]
 
 
@@ -262,7 +269,7 @@ def test_lemma23_pins_hold_across_leading_pair_boundaries(monkeypatch, block, nk
     # intervals that straddle the leading-pair boundaries of each size: block 7
     # crosses every one at budget 3; budget 5, whose report counts the graphs
     # skipped for low degree and so depends on which graphs are built, takes 997
-    monkeypatch.setattr(harness, "_WORD_TABLE_MAX", 7)
+    monkeypatch.setattr(qgraphs, "_WORD_TABLE_MAX", 7)
     test_lemma23_canonical_json_pinned(monkeypatch, block, nkd, budget, workers, digest)
 
 
@@ -272,13 +279,13 @@ def test_budget3_graphs_pinned(monkeypatch, block, cap):
     # count graphs and cannot see which ones were built; this sha256 of the
     # degree sequences, one byte per vertex in rank order, can
     if cap is not None:
-        monkeypatch.setattr(harness, "_WORD_TABLE_MAX", cap)
-    full = np.bitwise_xor.reduce(harness._pair_words(8))
+        monkeypatch.setattr(qgraphs, "_WORD_TABLE_MAX", cap)
+    full = np.bitwise_xor.reduce(qgraphs._pair_words(8))
     digest = hashlib.sha256()
     for size in range(4):
         total = math.comb(28, size)
         for lo in range(0, total, block):
-            graphs = harness._complement_words(8, size, lo, min(lo + block, total)) ^ full
+            graphs = qgraphs._complement_words(8, size, lo, min(lo + block, total)) ^ full
             digest.update(_POPCOUNT[graphs.view(np.uint8)].tobytes())
     assert digest.hexdigest() == "041c2f67b118ce8424a5ca30d09164f7356328ad64c474be04b087253c033410"
 
@@ -341,14 +348,14 @@ def test_lemma23_batch_tests_only_k_connectivity(monkeypatch, nkd, budget):
     # byte counts the chunk hands over, after its own degree filter read
     # them, are still the degrees of the rows, whole blocks and filtered ones
     seen = set()
-    rows_test = harness._k_connected_rows
+    rows_test = qgraphs._k_connected_rows
 
     def spy(rows, n, k, counts):
         seen.add(k)
         assert np.array_equal(counts, _POPCOUNT[rows].view(np.uint64).ravel())
         return rows_test(rows, n, k, counts)
 
-    monkeypatch.setattr(harness, "_k_connected_rows", spy)
+    monkeypatch.setattr(qgraphs, "_k_connected_rows", spy)
     n, k, delta = nkd
     report = run_campaign(CampaignConfig(mode="lemma23", n=n, k=k, delta=delta,
                                          complement_budget=budget))
@@ -382,19 +389,19 @@ def test_unrank_combinations_matches_itertools(monkeypatch, npairs, size):
     # whole tables or split on leading pairs down to tables of at most 3 words
     n = math.isqrt(2 * npairs) + 1
     combos = np.array(list(itertools.combinations(range(npairs), size)), dtype=np.int64)
-    want = np.bitwise_xor.reduce(harness._pair_words(n)[combos], axis=1)
+    want = np.bitwise_xor.reduce(qgraphs._pair_words(n)[combos], axis=1)
     lo, hi = len(want) // 3, len(want) // 3 + len(want) // 2 + 1
-    for cap in (harness._WORD_TABLE_MAX, 3):
-        monkeypatch.setattr(harness, "_WORD_TABLE_MAX", cap)
-        got = harness._complement_words(n, size, 0, len(want))
+    for cap in (qgraphs._WORD_TABLE_MAX, 3):
+        monkeypatch.setattr(qgraphs, "_WORD_TABLE_MAX", cap)
+        got = qgraphs._complement_words(n, size, 0, len(want))
         assert got.dtype == np.uint64 and np.array_equal(got, want)
-        assert np.array_equal(harness._complement_words(n, size, lo, hi), want[lo:hi])
+        assert np.array_equal(qgraphs._complement_words(n, size, lo, hi), want[lo:hi])
 
 
 def _k8_minus(combos):
     """Bit rows and graphs of K_8 minus each complement edge set of ``combos``
     (rows of pair indices in ``itertools.combinations(range(8), 2)`` order)."""
-    words = harness._pair_words(8)
+    words = qgraphs._pair_words(8)
     graphs = np.bitwise_xor.reduce(words) ^ np.bitwise_xor.reduce(words[combos], axis=1)
     rows = graphs.view(np.uint8).reshape(len(combos), 8)
     return rows, [Graph.from_rows(row.tolist()) for row in rows]
@@ -425,7 +432,7 @@ def ladder_cases():
 def _degree_counts(rows):
     """Each graph's ``_byte_counts``, taken from a copy of its bit rows."""
     graphs = rows.view(np.uint64).ravel()
-    return harness._byte_counts(graphs.copy(), np.empty_like(graphs))
+    return qgraphs._byte_counts(graphs.copy(), np.empty_like(graphs))
 
 
 def common_neighbours_at_least(g, k):
@@ -437,7 +444,7 @@ def common_neighbours_at_least(g, k):
 def test_k_connected_rows_matches_subset_check():
     settled = {"dirac": 0, "shared": 0, "reach-yes": 0, "reach-no": 0}
     for n, k, rows, graphs in ladder_cases():
-        got = harness._k_connected_rows(rows, n, k, _degree_counts(rows))
+        got = qgraphs._k_connected_rows(rows, n, k, _degree_counts(rows))
         want = [is_k_connected_small(g, k)[0] for g in graphs]
         assert got.tolist() == want, (n, k)
         for g, ok in zip(graphs, want):
@@ -457,10 +464,10 @@ def test_dirac_rung_matches_dirac_condition(monkeypatch):
         opened.append(rows.copy())
         return np.zeros(len(rows), dtype=bool)
 
-    monkeypatch.setattr(harness, "_common_neighbours_at_least", spy)
+    monkeypatch.setattr(qgraphs, "_common_neighbours_at_least", spy)
     for n, k, rows, graphs in ladder_cases():
         opened.clear()
-        got = harness._k_connected_rows(rows, n, k, _degree_counts(rows))
+        got = qgraphs._k_connected_rows(rows, n, k, _degree_counts(rows))
         assert got.tolist() == [is_k_connected_small(g, k)[0] for g in graphs], (n, k)
         dirac = np.array([dirac_condition(g, k) for g in graphs], dtype=bool)
         assert len(opened) == int(not dirac.all())
@@ -479,18 +486,18 @@ def test_one_count_serves_the_degree_and_dirac_thresholds():
         mindeg = np.array([min(g.degrees()) for g in graphs])
         counts = _degree_counts(rows)
         for t in range(10):
-            fresh = harness._min_degree_at_least(_degree_counts(rows), n, t)
-            assert np.array_equal(harness._min_degree_at_least(counts, n, t), fresh), (n, t)
+            fresh = qgraphs._min_degree_at_least(_degree_counts(rows), n, t)
+            assert np.array_equal(qgraphs._min_degree_at_least(counts, n, t), fresh), (n, t)
             assert np.array_equal(fresh, mindeg >= t), (n, t)
             for dirac in range(10):
-                got = harness._min_degree_at_least(counts, n, dirac)
+                got = qgraphs._min_degree_at_least(counts, n, dirac)
                 assert np.array_equal(got, mindeg >= dirac), (n, t, dirac)
         assert np.array_equal(counts, _POPCOUNT[rows].view(np.uint64).ravel()), n
 
 
 def test_common_neighbour_rung_matches_its_definition():
     for n, k, rows, graphs in ladder_cases():
-        got = harness._common_neighbours_at_least(rows, n, k)
+        got = qgraphs._common_neighbours_at_least(rows, n, k)
         assert got.tolist() == [common_neighbours_at_least(g, k) for g in graphs], (n, k)
 
 
@@ -498,14 +505,14 @@ def _count_reached(monkeypatch):
     """Spy on the batched reach: graphs per call, keyed by the number of
     surviving vertices."""
     reached = {}
-    reach = harness._reach_within
+    reach = qgraphs._reach_within
 
     def spy(graphs, seen, allowed):
         survivors = bin(allowed).count("1")
         reached[survivors] = reached.get(survivors, 0) + len(graphs)
         return reach(graphs, seen, allowed)
 
-    monkeypatch.setattr(harness, "_reach_within", spy)
+    monkeypatch.setattr(qgraphs, "_reach_within", spy)
     return reached
 
 
@@ -521,7 +528,8 @@ def test_lemma23_rungs_leave_only_open_graphs_to_the_reach(monkeypatch, budget, 
 
 def test_lemma23_stride_crosschecks_rung_settled_graphs(monkeypatch):
     # at budget 4 the rungs settle every graph, and the stride graphs still
-    # take the subset check and max flow
+    # take the subset check and max flow, on graphs built from the block's
+    # rows with their degree tuple cached
     monkeypatch.setattr(harness, "_LEMMA23_STRIDE", 97)
     reached = _count_reached(monkeypatch)
     calls = {"subset": 0, "flow": 0}
@@ -529,6 +537,7 @@ def test_lemma23_stride_crosschecks_rung_settled_graphs(monkeypatch):
     def counted(name, fn):
         def wrapper(g, k):
             calls[name] += 1
+            assert g._degs == Graph.from_rows(g.rows).degrees()
             return fn(g, k)
         return wrapper
 
