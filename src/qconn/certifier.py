@@ -35,7 +35,6 @@ from .connectivity import (
     density_condition,
     density_rhs,
     is_k_connected,
-    vertex_connectivity,
 )
 from .extremal import (
     FAMILY_A1,
@@ -139,7 +138,7 @@ def certify(g: Graph, k: int, delta: Optional[int] = None) -> Verdict:
     else:
         hyp["order_ge_F"] = False
 
-    threshold = 2 * (n - delta_eff + k - 3) if delta_eff is not None else None
+    threshold = q_threshold(ExtremalParams(n, k, delta_eff)) if delta_eff is not None else None
 
     def verdict(outcome, est, notes=(), **evidence) -> Verdict:
         return Verdict(outcome=outcome, hypothesis=hyp, threshold=threshold,
@@ -159,8 +158,8 @@ def certify(g: Graph, k: int, delta: Optional[int] = None) -> Verdict:
 
     ok, cut = is_k_connected(g, k)
     if ok:
-        if g.m == n * (n - 1) // 2:
-            conn = vertex_connectivity(g)  # complete graph short-circuit
+        if g.m == n * (n - 1) // 2:  # kappa(K_n) = n - 1
+            conn = ConnectivityResult(n - 1, (), "maxflow")
         else:
             conn = ConnectivityResult(kappa=k, cut=(), method="maxflow-threshold")
         return verdict(K_CONNECTED_CERTIFIED, est, connectivity=conn)

@@ -22,7 +22,7 @@ import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 from .graphs import Graph, _bits, _reach_mask, degree_profile, is_connected
 
@@ -196,6 +196,24 @@ def is_k_connected(g: Graph, k: int) -> Tuple[bool, Tuple[int, ...]]:
 BRUTE_MAX_N = 12
 
 
+def _first_separator(g: Graph, sizes: Iterable[int]) -> Optional[Tuple[int, ...]]:
+    """The first vertex subset, by size in ``sizes`` and then in
+    ``itertools.combinations`` order, whose removal disconnects the
+    connected ``g``; None when there is none.  Every size is at most
+    n - 2, so some vertex always survives."""
+    rows, full = g.rows, (1 << g.n) - 1
+    for size in sizes:
+        for sub in itertools.combinations(range(g.n), size):
+            removed = 0
+            for v in sub:
+                removed |= 1 << v
+            allowed = full & ~removed
+            start = (allowed & -allowed).bit_length() - 1
+            if _reach_mask(rows, start, allowed) != allowed:
+                return sub
+    return None
+
+
 def brute_force_connectivity(g: Graph) -> ConnectivityResult:
     """kappa by trying all vertex subsets in increasing size (n <= 12)."""
     if g.n > BRUTE_MAX_N:
@@ -204,17 +222,9 @@ def brute_force_connectivity(g: Graph) -> ConnectivityResult:
         return ConnectivityResult(0, (), "brute-force")
     if _is_complete(g):
         return ConnectivityResult(g.n - 1, (), "brute-force")
-    rows, full = g.rows, (1 << g.n) - 1
-    for size in range(1, g.n - 1):
-        for sub in itertools.combinations(range(g.n), size):
-            removed = 0
-            for v in sub:
-                removed |= 1 << v
-            allowed = full & ~removed
-            start = (allowed & -allowed).bit_length() - 1
-            if _reach_mask(rows, start, allowed) & allowed != allowed:
-                return ConnectivityResult(size, sub, "brute-force")
-    return ConnectivityResult(g.n - 1, (), "brute-force")
+    # all but a non-adjacent pair is a separator, so one of size <= n - 2 exists
+    cut = _first_separator(g, range(1, g.n - 1))
+    return ConnectivityResult(len(cut), cut, "brute-force")
 
 
 def is_k_connected_small(g: Graph, k: int) -> Tuple[bool, Tuple[int, ...]]:
@@ -223,27 +233,17 @@ def is_k_connected_small(g: Graph, k: int) -> Tuple[bool, Tuple[int, ...]]:
     When delta(G) >= k it suffices to try the size k-1 subsets: removing a
     smaller set leaves every vertex with a neighbour among the survivors.
     """
+    if k < 1:
+        raise ValueError("k must be positive")
     if g.n > BRUTE_MAX_N:
         raise ValueError(f"subset check capped at n={BRUTE_MAX_N}")
     if g.n <= k:
         return False, ()
     if not is_connected(g):
         return False, ()
-    rows, full = g.rows, (1 << g.n) - 1
-    degs = g.degrees()
-    sizes = range(k - 1, k) if min(degs) >= k else range(1, k)
-    for size in sizes:
-        for sub in itertools.combinations(range(g.n), size):
-            removed = 0
-            for v in sub:
-                removed |= 1 << v
-            allowed = full & ~removed
-            if not allowed:
-                continue
-            start = (allowed & -allowed).bit_length() - 1
-            if _reach_mask(rows, start, allowed) & allowed != allowed:
-                return False, sub
-    return True, ()
+    sizes = range(k - 1, k) if min(g.degrees()) >= k else range(1, k)
+    cut = _first_separator(g, sizes)
+    return (True, ()) if cut is None else (False, cut)
 
 
 # -- sufficient conditions ---------------------------------------------------

@@ -319,6 +319,21 @@ def family_members(params: ExtremalParams, size: int) -> List[FamilyMember]:
 _PERMISSIVE_SEARCH_CAP = 200_000
 
 
+def _missing_edges(g: Graph, x_mask: int, y_mask: int) -> Tuple[Edge, ...]:
+    """The edges of A(n,k,delta) under the labeling X, Y, Z (Z the rest)
+    that ``g`` lacks, sorted.  Row u of A is everything for u in Y, X u Y
+    for u in X and Y u Z for u in Z."""
+    full = (1 << g.n) - 1
+    x_row, z_row = x_mask | y_mask, full & ~x_mask
+    missing = []
+    for u, row in enumerate(g.rows):
+        a_row = full if y_mask >> u & 1 else x_row if x_mask >> u & 1 else z_row
+        lost = (a_row & ~row) >> (u + 1) << (u + 1)
+        if lost:
+            missing += [(u, v) for v in _bits(lost)]
+    return tuple(missing)
+
+
 def _strict_classify(g: Graph, k: int, delta: int) -> Optional[FamilyMember]:
     n = g.n
     try:
@@ -344,25 +359,19 @@ def _strict_classify(g: Graph, k: int, delta: int) -> Optional[FamilyMember]:
             if closed & x_mask != x_mask:
                 continue
             y_mask = closed & ~x_mask
-            X = tuple(x_choice)
-            Y = tuple(v for v in range(n) if y_mask >> v & 1)
-            if len(Y) != y_size:
+            if y_mask.bit_count() != y_size:
                 continue
-            Z = tuple(v for v in range(n) if not (closed >> v & 1))
-            inner = ((1 << n) - 1) & ~x_mask  # Y u Z
-            missing = [
-                (u, v)
-                for u in _bits(inner)
-                for v in _bits((inner & ~g.rows[u]) >> (u + 1) << (u + 1))
-            ]
+            # X's rows are X u Y, so every edge g lacks lies inside Y u Z
+            missing = _missing_edges(g, x_mask, y_mask)
             if len(missing) > bound + 1:
                 continue
             return FamilyMember(
                 params=params,
-                removed_edges=tuple(missing),
+                removed_edges=missing,
                 graph=g,
                 family_class=FAMILY_A1 if len(missing) <= bound else FAMILY_A2,
-                partition=VertexPartition(X=X, Y=Y, Z=tuple(sorted(Z))),
+                partition=VertexPartition(X=x_choice, Y=_bits(y_mask),
+                                          Z=_bits(((1 << n) - 1) & ~closed)),
             )
     return None
 
@@ -378,29 +387,21 @@ def _permissive_classify(g: Graph, k: int, delta: int) -> Optional[FamilyMember]
         raise ValueError("permissive membership search infeasible at this scale")
     # G is a spanning subgraph of A iff some disjoint (X, Z) of the right
     # sizes has no X-Z edges; everything else may then be called Y
+    full = (1 << n) - 1
     for x_choice in itertools.combinations(range(n), x_size):
         closed = 0
         for v in x_choice:
             closed |= (1 << v) | g.rows[v]
         if n - closed.bit_count() >= z_size:
-            free = [v for v in range(n) if not (closed >> v & 1)]
-            Z = tuple(free[:z_size])
-            zset = set(Z)
-            X = tuple(x_choice)
-            Y = tuple(v for v in range(n) if v not in zset and v not in x_choice)
-            a_graph, _ = build_A(params)
-            inv = {i: v for i, v in enumerate(Y + X + Z)}
-            missing = []
-            for i, j in a_graph.edges():
-                u, w = inv[i], inv[j]
-                if not g.has_edge(u, w):
-                    missing.append((min(u, w), max(u, w)))
+            Z = _bits(full & ~closed)[:z_size]
+            x_mask = sum(1 << v for v in x_choice)
+            y_mask = full & ~x_mask & ~sum(1 << v for v in Z)
             return FamilyMember(
                 params=params,
-                removed_edges=tuple(sorted(missing)),
+                removed_edges=_missing_edges(g, x_mask, y_mask),
                 graph=g,
                 family_class=FAMILY_SUBGRAPH,
-                partition=VertexPartition(X=X, Y=Y, Z=Z),
+                partition=VertexPartition(X=x_choice, Y=_bits(y_mask), Z=Z),
             )
     return None
 

@@ -48,8 +48,7 @@ class Graph:
     Each graph computes its facts at most once and keeps them: the degree
     tuple (read by ``degree``, ``degrees``, ``m``, ``degree_array`` and
     ``degree_profile``), the components as a tuple of vertex tuples (read
-    by ``components`` and ``is_connected``; an ``is_connected`` search that
-    spans the graph records the single component), the dense boolean
+    by ``components`` and ``is_connected``), the dense boolean
     adjacency and the float64 degrees.  Every cached fact is a tuple or a
     read-only array, so no caller can alter it, and a derived graph starts
     with none of them.
@@ -138,13 +137,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[operator.index(u)] >> operator.index(v) & 1)
 
-    def neighbors(self, v: int) -> Iterator[int]:
-        rest = self.rows[v]
-        while rest:
-            b = rest & -rest
-            yield b.bit_length() - 1
-            rest ^= b
-
     def edges(self) -> Iterator[Tuple[int, int]]:
         rows = self.rows
         for i in range(self.n):
@@ -184,15 +176,6 @@ class Graph:
             rows[v] &= ~(1 << u)
         return Graph.from_rows(rows, validate=False)
 
-    def with_edge_added(self, u: int, v: int) -> "Graph":
-        u, v = operator.index(u), operator.index(v)
-        if u == v:
-            raise ValueError("loop not allowed")
-        rows = list(self.rows)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        return Graph.from_rows(rows, validate=False)
-
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; vertex i of the result is ``vertices[i]``."""
         idx = {v: i for i, v in enumerate(vertices)}
@@ -206,11 +189,6 @@ class Graph:
                 if j is not None:
                     rows[i] |= 1 << j
                 rest ^= b
-        return Graph.from_rows(rows, validate=False)
-
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        rows = [(full ^ row) & ~(1 << i) for i, row in enumerate(self.rows)]
         return Graph.from_rows(rows, validate=False)
 
     # -- dunder --------------------------------------------------------
@@ -375,14 +353,7 @@ def _reach_mask(rows: Sequence[int], start: int, allowed: int) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    if g._comps is None:
-        if g.n <= 1:
-            return True
-        full = (1 << g.n) - 1
-        if _reach_mask(g.rows, 0, full) != full:
-            return False
-        g._comps = (tuple(range(g.n)),)
-    return len(g._comps) <= 1
+    return len(components(g)) <= 1
 
 
 def components(g: Graph) -> Tuple[Tuple[int, ...], ...]:
@@ -390,13 +361,11 @@ def components(g: Graph) -> Tuple[Tuple[int, ...], ...]:
     vertex (cached)."""
     if g._comps is None:
         full = (1 << g.n) - 1
-        seen = 0
-        out = []
-        for v in range(g.n):
-            if not seen >> v & 1:
-                mask = _reach_mask(g.rows, v, full & ~seen)
-                seen |= mask
-                out.append(_bits(mask))
+        out, rest = [], full  # rest: the vertices no component holds yet
+        while rest:
+            mask = _reach_mask(g.rows, (rest & -rest).bit_length() - 1, rest)
+            out.append(tuple(range(g.n)) if mask == full else _bits(mask))
+            rest &= ~mask
         g._comps = tuple(out)
     return g._comps
 

@@ -32,7 +32,8 @@ the first three rungs for a whole block of small graphs at once, against
 the edge bound, from the rows and degrees ``graphs._rows_and_degrees``
 reads off the block's words.  A decision's bracket contains q: the
 deciding vector's extreme quotients rounded one ulp outward, or the float
-bracket where that agrees with the proof and contains them.
+bracket where that agrees with the proof and contains them; an isolated
+vertex, like the empty graph, is settled by q = 0 exactly.
 Being exact, the deciders take no tolerance; their float run stops at
 ``DEFAULT_TOL``.
 
@@ -76,10 +77,6 @@ class SpectralEstimate:
     @property
     def value(self) -> float:
         return 0.5 * (self.lower + self.upper)
-
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
 
     def to_dict(self) -> dict:
         return {
@@ -306,9 +303,9 @@ def _edge_bound_rungs(rows: np.ndarray, degs: np.ndarray, n: int) -> np.ndarray:
     return rung
 
 
-def _rounded_proof(sub: Graph, vec, num: int, den: int, strict: bool, floor: float, a=None):
+def _rounded_proof(sub: Graph, vec, num: int, den: int, strict: bool, floor: float, a):
     """The integer test on the iterate ``vec`` of the connected ``sub``
-    (float64 adjacency ``a``, built here when None), rounded to integers
+    (float64 adjacency ``a``), rounded to integers
     v >= ``floor`` with largest entry ``_CERT_SCALE``: the decision and v's
     extreme quotients rounded one ulp outward.  Qv is exact in float64
     (entries below 2n * 2^30 < 2^53), the excess while it stays below 2^52.
@@ -316,8 +313,6 @@ def _rounded_proof(sub: Graph, vec, num: int, den: int, strict: bool, floor: flo
     positive left Perron vector; no upper bound."""
     x = np.asarray(vec, dtype=np.float64)
     x = np.maximum(np.rint(x * (_CERT_SCALE / x.max())), floor)
-    if a is None:
-        a = sub.adjacency_bool().astype(np.float64)
     y = a.dot(x) + sub.degree_array() * x
     if den * int(y.max() + 1) < 2**52 and abs(num) * int(x.max()) < 2**52:
         excess = y * den - x * num
@@ -364,10 +359,12 @@ def _decide(g: Graph, threshold, strict: bool) -> Tuple[Optional[bool], Spectral
 
     runs = _component_runs(g, DEFAULT_TOL,
                            lambda lo, up: _settled(lo, up, threshold, strict) is not None)
-    decisions = [_settled(0, 0, threshold, strict)] if g.n == 0 else []  # q = 0
+    zero = _settled(0, 0, threshold, strict)  # q = 0 exactly
+    decisions = [zero] if g.n == 0 else []
     for i, (comp, lo, up, vec, it, _, sub, a) in enumerate(runs):
-        if sub is None:  # an isolated vertex
-            sub = g if len(comp) == g.n else g.subgraph(comp)
+        if sub is None:  # an isolated vertex, whose run is the exact [0, 0]
+            decisions.append(zero)
+            continue
         decision, out_lo, out_up = _rounded_proof(sub, vec, num, den, strict, 1.0, a)
         if decision is None:  # the clamp to 1 can sink a decaying tail
             decision, out_lo, _ = _rounded_proof(sub, vec, num, den, strict, 0.0, a)

@@ -17,6 +17,16 @@ def random_graph_mask(n: int, rng: np.random.Generator, p: float = 0.5) -> Graph
     return Graph(n, [e for e, hit in zip(pairs, draw) if hit])
 
 
+def with_edges(g: Graph, extra) -> Graph:
+    """``g`` plus the edges ``extra``; an edge already present stays one edge."""
+    return Graph(g.n, [*g.edges(), *extra])
+
+
+def with_path(g: Graph) -> Graph:
+    """``g`` plus the Hamiltonian path 0-1-...-(n-1), which keeps it connected."""
+    return with_edges(g, [(i, i + 1) for i in range(g.n - 1)])
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

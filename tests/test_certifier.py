@@ -14,6 +14,7 @@ from qconn import (
     THEOREM_VIOLATION,
     UNDECIDED_NUMERIC,
     ExtremalParams,
+    Graph,
     build_A,
     certify,
     check_lemma_2_3,
@@ -340,8 +341,7 @@ def test_lemma_2_3_k_connected_above_order_12():
 
 def test_lemma_2_3_not_triggered():
     # sparse but hypothesis-satisfying graph: condition not triggered
-    g = cycle(9).with_edge_added(0, 3).with_edge_added(1, 5).with_edge_added(2, 7) \
-        .with_edge_added(4, 8).with_edge_added(5, 8).with_edge_added(3, 6)
+    g = Graph(9, [*cycle(9).edges(), (0, 3), (1, 5), (2, 7), (4, 8), (5, 8), (3, 6)])
     assert min(g.degrees()) >= 3
     rep = check_lemma_2_3(g, 3, 3)
     if rep.applicable and not rep.details["density_satisfied"]:

@@ -138,7 +138,7 @@ def test_degree_witness_comes_from_first_minimum_vertex(rng):
         for h in (g, parse_graph6(write_graph6(g))):
             degs = h.degrees()
             v = min(range(n), key=lambda i: degs[i])
-            assert _min_degree_cut(h) == (v, tuple(sorted(h.neighbors(v))))
+            assert _min_degree_cut(h) == (v, tuple(u for u in range(n) if h.has_edge(v, u)))
 
 
 def test_brute_force_examples():
@@ -165,18 +165,32 @@ def test_oracle_equivalence_random(rng):
             assert cut_disconnects(g, brute.cut)
 
 
+def assert_threshold_checks_agree(g, k):
+    a, cut_a = is_k_connected(g, k)
+    b, cut_b = is_k_connected_small(g, k)
+    assert a == b, (g.rows, k)
+    for cut in (cut_a, cut_b):
+        if cut:
+            assert not a and len(cut) < k and cut_disconnects(g, cut), (g.rows, k, cut)
+
+
 def test_small_threshold_check_agrees(rng):
     for _ in range(300):
         n = int(rng.integers(2, 11))
         g = random_graph_mask(n, rng, p=float(rng.random()))
-        k = int(rng.integers(1, n + 1))
-        a, cut_a = is_k_connected(g, k)
-        b, cut_b = is_k_connected_small(g, k)
-        assert a == b
-        if not a and cut_a:
-            assert cut_disconnects(g, cut_a)
-        if not b and cut_b:
-            assert cut_disconnects(g, cut_b)
+        assert_threshold_checks_agree(g, int(rng.integers(1, n + 1)))
+    # every labeled graph with n <= 6, at every k in 1..n
+    for n in range(1, 7):
+        for g in iter_labeled_graphs(n):
+            for k in range(1, n + 1):
+                assert_threshold_checks_agree(g, k)
+
+
+def test_threshold_checks_need_positive_k():
+    for check in (is_k_connected, is_k_connected_small):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k must be positive"):
+                check(complete(4), k)
 
 
 def test_menger_consistency(rng):

@@ -1,10 +1,12 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from qconn import (
     ExtremalParams,
+    Graph,
     brute_force_connectivity,
     build_A,
     classify_membership,
@@ -259,22 +261,69 @@ def _y_edges_by_walk(member):
     return sum(1 for u, v in member.graph.edges() if u in y and v in y)
 
 
-def test_y_internal_edges_matches_the_edge_walk():
-    params = ExtremalParams(103, 3, 3)
-    members = [m for size in range(params.eprime_bound + 2) for m in family_members(params, size)]
-    # permissive SUBGRAPH members: removed_edges lists every edge of A they lack
+def permissive_members():
+    """C_8 at (8,3,3), then A(10,3,4) less one X-Y edge and up to two more,
+    each classified in permissive mode."""
     subgraphs = [classify_membership(cycle(8), 3, 3, permissive=True)]
     a10, part = build_A(ExtremalParams(10, 3, 4))
     for x, y in itertools.product(part.X, part.Y):
         for extra in ((), ((0, 1),), ((0, 5),), ((5, 6),), ((0, 1), (5, 6))):
             damaged = a10.with_edges_removed([(min(x, y), max(x, y)), *extra])
             subgraphs.append(classify_membership(damaged, 3, 4, permissive=True))
+    return subgraphs
+
+
+def test_y_internal_edges_matches_the_edge_walk():
+    params = ExtremalParams(103, 3, 3)
+    members = [m for size in range(params.eprime_bound + 2) for m in family_members(params, size)]
+    # permissive SUBGRAPH members: removed_edges lists every edge of A they lack
+    subgraphs = permissive_members()
     assert all(m.family_class == FAMILY_SUBGRAPH for m in subgraphs)
     y_pairs = [m for m in subgraphs if any(u in m.partition.Y and v in m.partition.Y
                                            for u, v in m.removed_edges)]
     assert len(subgraphs) == 31 and len(y_pairs) == 13
     for member in members + subgraphs:
         assert member.y_internal_edges() == _y_edges_by_walk(member), member.removed_edges
+
+
+def _removed_by_walk(member):
+    """A's edges, carried to the member's labels through its partition (A
+    lists Y, then X, then Z), less the graph's edges: sorted."""
+    a_graph, _ = build_A(member.params)
+    part = member.partition
+    inv = dict(enumerate(part.Y + part.X + part.Z))
+    missing = []
+    for i, j in a_graph.edges():
+        u, w = inv[i], inv[j]
+        if not member.graph.has_edge(u, w):
+            missing.append((min(u, w), max(u, w)))
+    return tuple(sorted(missing))
+
+
+def test_removed_edges_match_the_walk_over_A():
+    params = ExtremalParams(8, 3, 3)
+    g, part = build_A(params)
+    subgraphs = permissive_members()
+    subgraphs.append(classify_membership(g.with_edges_removed([(part.X[0], part.Y[0])]), 3, 3,
+                                         permissive=True))
+    assert len(subgraphs) == 32 and all(m.family_class == FAMILY_SUBGRAPH for m in subgraphs)
+    for member in subgraphs:
+        assert member.removed_edges == _removed_by_walk(member), member.removed_edges
+    # every strict member at (10,3,4): as built, classified, and classified
+    # under a seeded relabeling
+    params = ExtremalParams(10, 3, 4)
+    rng = np.random.default_rng(26)
+    strict = []
+    for size in range(params.eprime_bound + 2):
+        for built in family_members(params, size):
+            perm = rng.permutation(params.n)
+            relabeled = Graph(params.n, [(perm[u], perm[v]) for u, v in built.graph.edges()])
+            strict += [built, classify_membership(built.graph, 3, 4),
+                       classify_membership(relabeled, 3, 4)]
+    assert len(strict) == 3 * 13
+    for i, member in enumerate(strict):
+        assert member.family_class == strict[i - i % 3].family_class
+        assert member.removed_edges == _removed_by_walk(member), member.removed_edges
 
 
 # -- classification --------------------------------------------------------------------

@@ -155,7 +155,7 @@ def edge_bound_rung(g):
         return 1
     v = [d + 1 for d in degs]
     for rung in (2, 3):
-        qv = [degs[i] * v[i] + sum(v[j] for j in g.neighbors(i)) for i in range(n)]
+        qv = [degs[i] * v[i] + sum(v[j] for j in range(n) if g.has_edge(i, j)) for i in range(n)]
         if all((n - 1) * y <= p * x for y, x in zip(qv, v)):
             return rung
         v = qv

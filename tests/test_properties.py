@@ -32,7 +32,7 @@ from qconn.connectivity import _FlowNet
 from qconn.graphs import count_labeled_graphs
 from qconn.harness import random_graph
 
-from conftest import random_graph_mask
+from conftest import random_graph_mask, with_edges, with_path
 
 PROPERTY = settings(database=None, deadline=None, derandomize=True, max_examples=80)
 
@@ -160,11 +160,11 @@ def test_cached_facts_are_immutable_and_not_inherited(n, seed, p, shape):
 
     edges = list(g.edges())
     non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
-    derived = [g.complement(), g.subgraph(range(0, g.n, 2)), g.subgraph(range(g.n))]
+    derived = [Graph(g.n, non_edges), g.subgraph(range(0, g.n, 2)), g.subgraph(range(g.n))]
     if edges:
         derived.append(g.with_edges_removed(edges[:1]))
     if non_edges:
-        derived.append(g.with_edge_added(*non_edges[-1]))
+        derived.append(with_edges(g, non_edges[-1:]))
     for h in derived:
         assert_no_cached_facts(h)
         assert {name: FACTS[name](h) for name in FACTS} == fresh_facts(h)
@@ -184,10 +184,7 @@ def assert_bracket_contains_eigvalsh(g: Graph) -> None:
 def test_q_bracket_contains_eigvalsh_connected(n, seed, p):
     rng = np.random.default_rng(seed)
     # a Hamiltonian path keeps every draw connected
-    g = random_graph_mask(n, rng, p=p)
-    for i in range(n - 1):
-        if not g.has_edge(i, i + 1):
-            g = g.with_edge_added(i, i + 1)
+    g = with_path(random_graph_mask(n, rng, p=p))
     assert_bracket_contains_eigvalsh(g)
 
 

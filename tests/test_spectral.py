@@ -29,7 +29,7 @@ from qconn import (
     write_graph6,
 )
 
-from conftest import petersen, random_graph_mask
+from conftest import petersen, random_graph_mask, with_edges, with_path
 
 
 def build_A_graph(n, k, d):
@@ -110,7 +110,7 @@ def test_estimate_invariants_connected(rng):
             continue
         est = q_index(g, 1e-10)
         assert est.lower <= est.upper
-        assert est.converged and est.width <= 1e-10
+        assert est.converged and est.upper - est.lower <= 1e-10
         assert np.all(est.vector > 0)
         assert abs(np.linalg.norm(est.vector) - 1.0) <= 1e-12
 
@@ -181,11 +181,7 @@ def power_step_graphs():
     rng = np.random.default_rng(606)
     graphs = []
     for n, p in ((32, 0.15), (57, 0.08), (103, 0.04), (103, 0.5), (150, 0.9), (121, 0.3)):
-        g = random_graph_mask(n, rng, p=p)
-        for i in range(n - 1):  # a Hamiltonian path keeps the draw connected
-            if not g.has_edge(i, i + 1):
-                g = g.with_edge_added(i, i + 1)
-        graphs.append(g)
+        graphs.append(with_path(random_graph_mask(n, rng, p=p)))  # connected by the path
     graphs.append(random_graph_mask(103, rng, p=0.04))  # a giant component and debris
     graphs.append(disjoint_union(random_graph_mask(70, rng, p=0.6),
                                  disjoint_union(cycle(12), empty(3))))
@@ -254,7 +250,7 @@ def noda_graphs():
         "P31": path(31),
         "P100": path(100),
         "P200": path(200),
-        "K40+P60": disjoint_union(complete(40), path(60)).with_edge_added(39, 40),
+        "K40+P60": with_edges(disjoint_union(complete(40), path(60)), [(39, 40)]),
         "gnp103-path": seeded[2],  # n = 103, p = 0.04 plus a Hamiltonian path
         "gnp103-debris": seeded[6],  # n = 103, p = 0.04: a giant component and debris
     }
@@ -330,6 +326,30 @@ def test_decider_builds_each_component_subgraph_once(monkeypatch):
     calls.clear()
     assert decide_q_ge(g, 38)[0] is True  # q = 38 exactly
     assert len(calls) == 2
+    # an isolated vertex is settled by q = 0, with no 1-vertex subgraph
+    g = disjoint_union(g, empty(1))
+    for run in (q_index, lambda h: decide_q_ge(h, 38)):
+        calls.clear()
+        run(g)
+        assert len(calls) == 2
+
+
+def test_isolated_vertices_decide_like_the_empty_graph():
+    k3 = disjoint_union(complete(3), empty(2))
+    for g in (empty(3), k3):
+        # each largest component is regular, so q is 2 max degree exactly,
+        # which eigvalsh may miss by an ulp
+        q = float(2 * max(g.degrees()))
+        assert abs(q_index_dense_oracle(g) - q) <= 1e-12
+        for t in (-1, 0, 3.9, 4, 5):
+            for decide, want in ((decide_q_gt, q > t), (decide_q_ge, q >= t)):
+                got, est = decide(g, t)
+                assert got is want, (g, t, decide.__name__)
+                assert est.lower <= q <= est.upper
+    # below the degree rung an edgeless graph's bracket is the exact [0, 0]
+    for decide, t in ((decide_q_ge, 0), (decide_q_ge, -1), (decide_q_gt, -1)):
+        _, est = decide(empty(3), t)
+        assert (est.lower, est.upper) == (0.0, 0.0)
 
 
 def small_order_graphs():
@@ -340,11 +360,8 @@ def small_order_graphs():
     for n, p in ((7, 0.3), (11, 0.5), (16, 0.2), (22, 0.7), (27, 0.4), (31, 0.1)):
         parts = []
         for size in (n - n // 3 - 2, n // 3):
-            g = random_graph_mask(size, rng, p=p)
-            for i in range(size - 1):  # a Hamiltonian path keeps the part connected
-                if not g.has_edge(i, i + 1):
-                    g = g.with_edge_added(i, i + 1)
-            parts.append(g)
+            # a Hamiltonian path keeps the part connected
+            parts.append(with_path(random_graph_mask(size, rng, p=p)))
         graphs.append(disjoint_union(parts[0], disjoint_union(parts[1], empty(2))))
     return graphs
 
@@ -440,7 +457,7 @@ def test_monotone_under_edge_addition(rng):
             continue
         u, v = non_edges[int(rng.integers(len(non_edges)))]
         before = q_index(g, 1e-10).lower
-        after = q_index(g.with_edge_added(u, v), 1e-10).lower
+        after = q_index(with_edges(g, [(u, v)]), 1e-10).lower
         assert after >= before - 1e-9
 
 
@@ -468,6 +485,11 @@ def star(n: int) -> Graph:
     return join(complete(1), empty(n - 1))
 
 
+def co_cycle(n: int) -> Graph:
+    """The complement of C_n: i ~ j unless j - i is 1 or n - 1."""
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 2, n) if j - i != n - 1])
+
+
 # (graph, its integer Q-index)
 EXACT_Q = (
     [(f"K{n}", complete(n), 2 * n - 2) for n in range(2, 9)]
@@ -476,7 +498,7 @@ EXACT_Q = (
     + [("petersen", petersen(), 6), ("P3", path(3), 3)]
     # regular graphs on the float path (n >= 32): the rounded iterate must tie
     + [(f"K{n}", complete(n), 2 * n - 2) for n in (40, 103)]
-    + [(f"coC{n}", cycle(n).complement(), 2 * n - 6) for n in (40, 103)]
+    + [(f"coC{n}", co_cycle(n), 2 * n - 6) for n in (40, 103)]
     # Perron vector (n-1, 1, ..., 1): the rounded iterate fails, v1 = Q v0 ties
     + [(f"star{n}", star(n), n) for n in (40, 103)]
 )
@@ -563,7 +585,7 @@ def test_float_path_decides_by_the_integer_test_not_the_bracket(monkeypatch):
 
 
 def pendant_path_graph():
-    return disjoint_union(complete(40), path(12)).with_edge_added(39, 40)
+    return with_edges(disjoint_union(complete(40), path(12)), [(39, 40)])
 
 
 def test_decaying_perron_vector_settles_the_lower_side():
@@ -578,8 +600,10 @@ def test_decaying_perron_vector_settles_the_lower_side():
         assert 78 <= est.lower <= q <= est.upper
     # Qv = Tv proves q >= T but not q > T, with or without the clamp
     from qconn import spectral
+    k40 = complete(40)
+    adjacency = k40.adjacency_bool().astype(np.float64)
     for strict, want in ((False, True), (True, None)):
-        assert spectral._rounded_proof(complete(40), np.ones(40), 78, 1, strict, 0.0)[0] is want
+        assert spectral._rounded_proof(k40, np.ones(40), 78, 1, strict, 0.0, adjacency)[0] is want
 
 
 def test_exact_decisions_agree_with_eigvalsh_on_every_small_connected_graph():
