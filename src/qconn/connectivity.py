@@ -22,7 +22,7 @@ import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from .graphs import Graph, _bits, _reach_mask, degree_profile, is_connected
 
@@ -44,19 +44,22 @@ class _FlowNet:
     """Unit-capacity vertex-split flow network for one s-t query.
 
     Node 2v is v_in, node 2v+1 is v_out.  Arcs are stored as parallel
-    lists (to, capacity, reverse-arc index) per node.
+    lists (to, capacity, reverse-arc index) per node.  ``rows`` are the
+    symmetric bit rows of the graph; its edges (u, v), u < v, add their
+    arcs by u and then by v, the order of ``Graph.edges``.
     """
 
-    def __init__(self, g: Graph, s: int, t: int):
-        n = g.n
+    def __init__(self, rows: Sequence[int], s: int, t: int):
+        n = len(rows)
         inf = n + 1
         self.adj: list[list[list[int]]] = [[] for _ in range(2 * n)]
         for v in range(n):
             cap = inf if v in (s, t) else 1
             self._arc(2 * v, 2 * v + 1, cap)
-        for u, v in g.edges():
-            self._arc(2 * u + 1, 2 * v, inf)
-            self._arc(2 * v + 1, 2 * u, inf)
+        for u, row in enumerate(rows):
+            for v in _bits(row >> (u + 1) << (u + 1)):
+                self._arc(2 * u + 1, 2 * v, inf)
+                self._arc(2 * v + 1, 2 * u, inf)
         self.source = 2 * s + 1
         self.sink = 2 * t
 
@@ -124,8 +127,7 @@ def local_connectivity(g: Graph, s: int, t: int, cap: Optional[int] = None) -> T
     reach = _reach_mask(rows, s, ((1 << g.n) - 1) & ~common)
     if not reach >> t & 1:
         return value, _bits(common)
-    net = _FlowNet(Graph.from_rows([r & reach if reach >> v & 1 else 0
-                                    for v, r in enumerate(rows)], validate=False), s, t)
+    net = _FlowNet([r & reach if reach >> v & 1 else 0 for v, r in enumerate(rows)], s, t)
     while cap is None or value < cap:
         if not net.augment():
             return value, tuple(sorted(_bits(common) + net.min_cut_vertices()))

@@ -53,7 +53,7 @@ class Graph:
     read-only array, so no caller can alter it, and a derived graph starts
     with none of them.
 
-    A graph built from edges or rows holds its bit rows from the start.  A
+    A graph built from edges holds its bit rows from the start.  A
     graph built from a dense matrix (``parse_graph6``, ``random_graph``)
     holds the matrix, its degree tuple and, when a matrix search from
     vertex 0 reaches every vertex within ``_SPAN_ROUNDS`` rounds, its single
@@ -64,11 +64,12 @@ class Graph:
     __slots__ = ("n", "_rows", "_degs", "_comps", "_np_adj", "_np_deg")
 
     def __init__(self, n: int, edges: Iterable[Tuple[int, int]] = ()):
+        # numpy integers would break the bit rows: ``1 << v`` wraps at 64 bits
+        n = operator.index(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         rows = [0] * n
         for u, v in edges:
-            # numpy integers would make ``1 << v`` wrap at 64 bits
             u, v = operator.index(u), operator.index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -76,39 +77,17 @@ class Graph:
                 raise ValueError(f"loop at vertex {u} not allowed")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        self.n = n
-        self._rows = tuple(rows)
-        self._degs: Optional[Tuple[int, ...]] = None
-        self._comps: Optional[Tuple[Tuple[int, ...], ...]] = None
-        self._np_adj: Optional[np.ndarray] = None
-        self._np_deg: Optional[np.ndarray] = None
+        self._init(n, tuple(rows), None, None, None)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[int], validate: bool = True) -> "Graph":
-        """Build from prepared bit rows; set ``validate=False`` only on rows
-        already known symmetric and loop-free (hot enumeration paths)."""
-        g = cls.__new__(cls)
-        g.n = len(rows)
-        g._rows = tuple(rows)
-        g._degs = None
-        g._comps = None
-        g._np_adj = None
-        g._np_deg = None
-        if validate:
-            full = (1 << g.n) - 1
-            for i, row in enumerate(g.rows):
-                if row >> i & 1:
-                    raise ValueError(f"loop at vertex {i}")
-                if row & ~full:
-                    raise ValueError(f"row {i} has bits beyond n={g.n}")
-                rest = row
-                while rest:
-                    b = rest & -rest
-                    j = b.bit_length() - 1
-                    if not g._rows[j] >> i & 1:
-                        raise ValueError(f"asymmetric adjacency at ({i},{j})")
-                    rest ^= b
-        return g
+    def _init(self, n: int, rows: Optional[Tuple[int, ...]], degs: Optional[Tuple[int, ...]],
+              comps: Optional[Tuple[Tuple[int, ...], ...]], adj: Optional[np.ndarray]) -> None:
+        """The one initialiser of a graph's slots, for ``__init__`` and ``_graph``."""
+        self.n = n
+        self._rows = rows
+        self._degs = degs
+        self._comps = comps
+        self._np_adj = adj
+        self._np_deg = None
 
     # -- basic queries -------------------------------------------------
 
@@ -138,13 +117,10 @@ class Graph:
         return bool(self.rows[operator.index(u)] >> operator.index(v) & 1)
 
     def edges(self) -> Iterator[Tuple[int, int]]:
-        rows = self.rows
-        for i in range(self.n):
-            rest = rows[i] >> (i + 1) << (i + 1)
-            while rest:
-                b = rest & -rest
-                yield (i, b.bit_length() - 1)
-                rest ^= b
+        """Edges (u, v) with u < v, by u and then by v."""
+        for u, row in enumerate(self.rows):
+            for v in _bits(row >> (u + 1) << (u + 1)):
+                yield u, v
 
     # -- numpy views (cached; used by the spectral module) -------------
 
@@ -174,22 +150,17 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) not present")
             rows[u] &= ~(1 << v)
             rows[v] &= ~(1 << u)
-        return Graph.from_rows(rows, validate=False)
+        return _graph(self.n, tuple(rows))
 
     def subgraph(self, vertices: Sequence[int]) -> "Graph":
         """Induced subgraph; vertex i of the result is ``vertices[i]``."""
         idx = {v: i for i, v in enumerate(vertices)}
+        kept = sum(1 << v for v in idx)
         rows = [0] * len(vertices)
-        own = self.rows
         for v, i in idx.items():
-            rest = own[v]
-            while rest:
-                b = rest & -rest
-                j = idx.get(b.bit_length() - 1)
-                if j is not None:
-                    rows[i] |= 1 << j
-                rest ^= b
-        return Graph.from_rows(rows, validate=False)
+            for u in _bits(self.rows[v] & kept):
+                rows[i] |= 1 << idx[u]
+        return _graph(len(rows), tuple(rows))
 
     # -- dunder --------------------------------------------------------
 
@@ -201,6 +172,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _graph(n: int, rows: Optional[Tuple[int, ...]], degs: Optional[Tuple[int, ...]] = None,
+           comps: Optional[Tuple[Tuple[int, ...], ...]] = None, adj: Optional[np.ndarray] = None) -> Graph:
+    """The one constructor inside this module: symmetric, loop-free ``rows``
+    or, when None, the read-only matrix ``adj``, and whichever facts the
+    caller already has; a fact given as None is computed when first read."""
+    g = Graph.__new__(Graph)
+    g._init(n, rows, degs, comps, adj)
+    return g
 
 
 # -- bit rows <-> dense boolean matrix ----------------------------------
@@ -257,14 +238,8 @@ def _graph_from_bool(a: np.ndarray) -> Graph:
     the matrix.  The bit rows wait until ``rows`` is first read."""
     n = a.shape[0]
     a.setflags(write=False)
-    g = Graph.__new__(Graph)
-    g.n = n
-    g._rows = None
-    g._degs = tuple(np.count_nonzero(a, axis=1).tolist())
-    g._comps = (tuple(range(n)),) if n and _spans(a) else None
-    g._np_adj = a
-    g._np_deg = None
-    return g
+    return _graph(n, None, tuple(np.count_nonzero(a, axis=1).tolist()),
+                  (tuple(range(n)),) if n and _spans(a) else None, a)
 
 
 @dataclass(frozen=True)
@@ -281,12 +256,12 @@ class DegreeProfile:
 def complete(n: int) -> Graph:
     """K_n."""
     full = (1 << n) - 1
-    return Graph.from_rows([full & ~(1 << i) for i in range(n)], validate=False)
+    return _graph(n, tuple(full & ~(1 << i) for i in range(n)))
 
 
 def empty(n: int) -> Graph:
     """Edgeless graph on n vertices."""
-    return Graph.from_rows([0] * n, validate=False)
+    return _graph(n, (0,) * n)
 
 
 def cycle(n: int) -> Graph:
@@ -303,18 +278,16 @@ def path(n: int) -> Graph:
 
 def join(g: Graph, h: Graph) -> Graph:
     """Join: g's vertices first, then h's, plus every cross edge."""
-    n = g.n + h.n
     hi = ((1 << h.n) - 1) << g.n
     lo = (1 << g.n) - 1
-    rows = [g.rows[i] | hi for i in range(g.n)]
-    rows += [(h.rows[j] << g.n) | lo for j in range(h.n)]
-    return Graph.from_rows(rows, validate=False)
+    rows = tuple(r | hi for r in g.rows) + tuple((r << g.n) | lo for r in h.rows)
+    return _graph(g.n + h.n, rows)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     """Disjoint union: block-diagonal adjacency, no cross edges."""
-    rows = list(g.rows) + [h.rows[j] << g.n for j in range(h.n)]
-    return Graph.from_rows(rows, validate=False)
+    rows = g.rows + tuple(r << g.n for r in h.rows)
+    return _graph(g.n + h.n, rows)
 
 
 # -- traversal ----------------------------------------------------------
@@ -628,10 +601,7 @@ def _block_graphs(rows: np.ndarray, degs: np.ndarray, connected: Iterable[bool])
     ``degs`` cached and, where ``connected`` says so, its single component."""
     spanning = (tuple(range(rows.shape[1])),) if rows.shape[1] else ()
     for row, deg, conn in zip(rows.tolist(), degs.tolist(), connected):
-        g = Graph.from_rows(row, validate=False)
-        g._degs = tuple(deg)
-        g._comps = spanning if conn else None
-        yield g
+        yield _graph(len(row), tuple(row), tuple(deg), spanning if conn else None)
 
 
 # complement-word lists kept whole up to this length: at n = 8 sizes 0..7, 13.5 MB

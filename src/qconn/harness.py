@@ -25,7 +25,7 @@ import numpy as np
 
 from . import certifier
 from .connectivity import density_parameter_failures, density_rhs, is_k_connected, is_k_connected_small
-from .extremal import ExtremalParams, classify_membership, family_members
+from .extremal import ExtremalParams, classify_membership, family_members, threshold_F
 from .graphs import (
     MAX_ORDER,
     Graph,
@@ -436,7 +436,14 @@ def _run_counterexample(config: CampaignConfig, report: Report) -> None:
 
 
 def _run_theorem15(config: CampaignConfig, report: Report) -> None:
-    params = ExtremalParams(config.n if config.n is not None else 103, config.k, config.delta)
+    n, k, delta = config.n if config.n is not None else 103, config.k, config.delta
+    if k < 3:  # F(k, delta) is defined for k >= 3 only
+        raise CampaignError(f"theorem15 outside the theorem's hypotheses: k >= 3 fails (k={k})")
+    params = ExtremalParams(n, k, delta)
+    floor = threshold_F(k, delta)
+    if n < floor:
+        raise CampaignError(f"theorem15 outside the theorem's hypotheses: n >= F(k, delta) fails "
+                            f"(n={n}, F({k}, {delta}) = {floor})")
     expected = [("K_n", complete(params.n), certifier.K_CONNECTED_CERTIFIED)]
     for size in range(params.eprime_bound + 2):
         a1 = size <= params.eprime_bound

@@ -17,6 +17,13 @@ def random_graph_mask(n: int, rng: np.random.Generator, p: float = 0.5) -> Graph
     return Graph(n, [e for e, hit in zip(pairs, draw) if hit])
 
 
+def graph_of_rows(rows) -> Graph:
+    """The graph whose edges are read off the bit rows one bit at a time,
+    bit j of row i standing for the edge (i, j): a reference build."""
+    n = len(rows)
+    return Graph(n, [(i, j) for i, row in enumerate(rows) for j in range(n) if row >> j & 1])
+
+
 def with_edges(g: Graph, extra) -> Graph:
     """``g`` plus the edges ``extra``; an edge already present stays one edge."""
     return Graph(g.n, [*g.edges(), *extra])

@@ -25,7 +25,7 @@ from qconn import (
 )
 from qconn.graphs import MAX_ORDER, _bits, _reach_mask, _reach_within, count_labeled_graphs
 
-from conftest import random_graph_mask
+from conftest import graph_of_rows, random_graph_mask
 
 
 # -- construction and invariants ------------------------------------------
@@ -45,8 +45,6 @@ def test_rejects_loops_and_bad_edges():
         Graph(3, [(0, 0)])
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
-    with pytest.raises(ValueError):
-        Graph.from_rows([0b010, 0b000, 0b000])  # asymmetric
 
 
 def test_numpy_vertex_ids():
@@ -69,6 +67,11 @@ def test_numpy_vertex_ids():
         Graph(3, [(0, 1.0)])
     with pytest.raises(TypeError):
         g.has_edge(0, 65.0)
+    # a numpy order is stored as an int; it broke is_connected's bit walk
+    p = Graph(np.int64(70), [(i, i + 1) for i in range(69)])
+    assert type(p.n) is int and p == path(70) and is_connected(p)
+    with pytest.raises(TypeError):
+        Graph(70.0, [])
 
 
 def test_complete_empty_counts():
@@ -239,7 +242,7 @@ def test_graph6_round_trip_at_header_and_word_boundaries(n):
               complete(n), empty(n), path(n)):
         line = write_graph6(g)
         parsed = parse_graph6(line)
-        ref = Graph.from_rows(g.rows)
+        ref = graph_of_rows(g.rows)
         # the facts read off the matrix first, then the rows built from it
         assert parsed.degrees() == ref.degrees()
         assert components(parsed) == components(ref)
@@ -323,7 +326,7 @@ def assert_matches_scalar_walk(n, lo, hi):
     got = list(iter_labeled_graphs(n, mask_range=(lo, hi)))
     assert [g.rows for g in got] == list(scalar_walk(n, lo, hi)), (n, lo, hi)
     for g in got:
-        fresh = Graph.from_rows(g.rows)
+        fresh = graph_of_rows(g.rows)
         assert g.n == n and g.rows == fresh.rows
         assert g._degs == fresh.degrees()
         # only a connected graph arrives with its component
@@ -399,6 +402,32 @@ def test_enumeration_mask_range_partition():
 
 # the private slots behind a Graph's rows and cached facts
 GRAPH_SLOTS = {"_rows", "_degs", "_comps", "_np_adj", "_np_deg"}
+# the functions of qconn.graphs that write a slot: the one initialiser, and
+# the lazy readers, each filling the fact it returns on first use
+SLOT_WRITERS = {"_init", "rows", "degrees", "components", "adjacency_bool", "degree_array"}
+
+
+def _slot_writes(path, slots):
+    """(enclosing function, line, slot) of each write to one of ``slots``."""
+    tree = ast.parse(path.read_text())
+    owner = {}
+    for fn in ast.walk(tree):  # outer functions first, so the innermost one owns a node
+        if isinstance(fn, ast.FunctionDef):
+            owner.update((node, fn.name) for node in ast.walk(fn))
+    writes = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
+            targets = [ast.Attribute(attr=arg.value, lineno=node.lineno) for arg in node.args[1:2]
+                       if isinstance(arg, ast.Constant)]
+        else:
+            continue
+        writes += [(owner.get(node), t.lineno, t.attr) for target in targets
+                   for t in ast.walk(target) if isinstance(t, ast.Attribute) and t.attr in slots]
+    return writes
 
 
 def test_only_graphs_writes_graph_private_slots():
@@ -407,20 +436,10 @@ def test_only_graphs_writes_graph_private_slots():
     assert set(Graph.__slots__) == GRAPH_SLOTS | {"n"}
     modules = sorted(Path(qconn.graphs.__file__).parent.glob("*.py"))
     assert len(modules) > 5
-    writes = []
-    for path in modules:
-        if path.name == "graphs.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Assign):
-                targets = node.targets
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [node.target]
-            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "setattr":
-                targets = [ast.Attribute(attr=arg.value, lineno=node.lineno) for arg in node.args[1:2]
-                           if isinstance(arg, ast.Constant)]
-            else:
-                continue
-            writes += [f"{path.name}:{t.lineno} {t.attr}" for target in targets
-                       for t in ast.walk(target) if isinstance(t, ast.Attribute) and t.attr in GRAPH_SLOTS]
+    writes = [f"{path.name}:{line} {slot}" for path in modules if path.name != "graphs.py"
+              for _, line, slot in _slot_writes(path, GRAPH_SLOTS)]
     assert writes == []
+    # inside qconn.graphs, one initialiser sets every slot of every graph
+    own = _slot_writes(Path(qconn.graphs.__file__), set(Graph.__slots__))
+    assert {slot for fn, _, slot in own if fn == "_init"} == set(Graph.__slots__)
+    assert [(fn, line, slot) for fn, line, slot in own if fn not in SLOT_WRITERS] == []

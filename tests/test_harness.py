@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -12,7 +13,6 @@ import pytest
 
 from qconn import (
     CampaignConfig,
-    Graph,
     Report,
     build_A,
     complete,
@@ -29,7 +29,7 @@ from qconn.connectivity import density_parameter_failures, density_rhs, dirac_co
 from qconn.graphs import is_connected, iter_labeled_graphs
 from qconn.harness import CampaignError, CorpusError, RandomGraphError
 
-from conftest import random_graph_mask
+from conftest import graph_of_rows, random_graph_mask
 
 # the degree of each byte value, a reference apart from the kernels under test
 _POPCOUNT = np.array([bin(x).count("1") for x in range(256)], dtype=np.uint8)
@@ -192,7 +192,7 @@ def test_lemma22_scalar_crosschecks_batch_settled_graphs(monkeypatch):
     def spy(g, threshold):
         # the scalar path builds its graphs from the block's rows, with the
         # degree tuple and the single component cached
-        assert g._degs == Graph.from_rows(g.rows).degrees()
+        assert g._degs == graph_of_rows(g.rows).degrees()
         assert g._comps == (tuple(range(g.n)),)
         result = decide(g, threshold)
         verdicts.append((g, result[0]))
@@ -404,7 +404,7 @@ def _k8_minus(combos):
     words = qgraphs._pair_words(8)
     graphs = np.bitwise_xor.reduce(words) ^ np.bitwise_xor.reduce(words[combos], axis=1)
     rows = graphs.view(np.uint8).reshape(len(combos), 8)
-    return rows, [Graph.from_rows(row.tolist()) for row in rows]
+    return rows, [graph_of_rows(row.tolist()) for row in rows]
 
 
 def ladder_cases():
@@ -537,7 +537,7 @@ def test_lemma23_stride_crosschecks_rung_settled_graphs(monkeypatch):
     def counted(name, fn):
         def wrapper(g, k):
             calls[name] += 1
-            assert g._degs == Graph.from_rows(g.rows).degrees()
+            assert g._degs == graph_of_rows(g.rows).degrees()
             return fn(g, k)
         return wrapper
 
@@ -559,6 +559,17 @@ def test_theorem15_campaign():
     assert report.tested == 1 + 4 + 9 + 1
     assert report.failed == 0 and report.violations == []
     assert report.details["proof_chain"]["chain_holds"]
+
+
+@pytest.mark.parametrize("n,k,delta,message", [
+    (102, 3, 3, "n >= F(k, delta) fails (n=102, F(3, 3) = 103)"),  # it reported 15 failed cases
+    (150, 2, 3, "k >= 3 fails (k=2)"),  # F(k, delta) is undefined; it reported 5 failed cases
+])
+def test_theorem15_refuses_orders_outside_the_theorem(n, k, delta, message, capsys):
+    with pytest.raises(CampaignError, match=re.escape(message)):
+        run_campaign(CampaignConfig(mode="theorem15", n=n, k=k, delta=delta))
+    assert main(["sweep", "--mode", "theorem15", "--n", str(n), "--k", str(k), "--delta", str(delta)]) == 2
+    assert message in capsys.readouterr().err
 
 
 # canonical-JSON sha256 of outcome-only certify campaigns at paper scale;

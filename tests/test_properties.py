@@ -32,7 +32,7 @@ from qconn.connectivity import _FlowNet
 from qconn.graphs import count_labeled_graphs
 from qconn.harness import random_graph
 
-from conftest import random_graph_mask, with_edges, with_path
+from conftest import graph_of_rows, random_graph_mask, with_edges, with_path
 
 PROPERTY = settings(database=None, deadline=None, derandomize=True, max_examples=80)
 
@@ -57,7 +57,7 @@ def test_graph6_round_trip_and_adjacency(n, seed, p):
     assert parsed == g
     expect = edge_matrix(g)
     assert np.array_equal(parsed.adjacency_bool(), expect)
-    assert np.array_equal(Graph.from_rows(g.rows).adjacency_bool(), expect)
+    assert np.array_equal(graph_of_rows(g.rows).adjacency_bool(), expect)
 
 
 FACTS = {
@@ -130,7 +130,7 @@ def test_cached_facts_match_edges_in_every_call_order(n, seed, p, shape):
         elif shape == "decoded":
             h = parse_graph6(line)
         else:
-            h = Graph.from_rows(g.rows)
+            h = graph_of_rows(g.rows)
             assert_no_cached_facts(h)
         for name in order:
             assert FACTS[name](h) == want[name], (order, name)
@@ -202,7 +202,7 @@ def test_q_bracket_contains_eigvalsh_components(n1, n2, isolated, seed, p):
 def unseeded_flow(g: Graph, s: int, t: int):
     """Max flow on the vertex-split network of the whole graph: the value
     and the residual-reachable (s-closest) minimum separator."""
-    net = _FlowNet(g, s, t)
+    net = _FlowNet(g.rows, s, t)
     value = 0
     while net.augment():
         value += 1
